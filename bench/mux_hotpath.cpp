@@ -10,9 +10,9 @@
 // tuples exercise the flow cache. The fabric runs in blackhole mode (the
 // event queue is single-threaded).
 //
-// --churn (ISSUE 6) additionally measures pool-generation publication under
-// fire: a committer thread applies full PoolPrograms (rotated weights) and
-// enable/disable flips at a fixed cadence while the worker threads sustain
+// --churn additionally measures pool-generation publication under fire: a
+// committer thread applies full PoolPrograms (rotated weights, one backend
+// parked at weight 0) at a fixed cadence while the worker threads sustain
 // traffic. Each phase runs twice per thread count — once with the committer
 // idle (the "before the generation switch" stable baseline) and once with
 // it committing — and verifies, beyond counter conservation: zero
@@ -319,12 +319,12 @@ struct ChurnResult {
 
 // Drives `threads` workers over their flow spaces for ~duration_sec wall
 // seconds. With `commit`, a committer thread concurrently applies a full
-// PoolProgram (same 64 members, rotated weights) every ~1ms and flips one
-// backend's enable bit every 4th commit — every commit publishes a fresh
-// immutable PoolGeneration and retires the old one through the epoch
-// domain. Membership is stable, so counter conservation stays exact even
-// though the generation under the packet path changes hundreds of times
-// per second.
+// PoolProgram (same 64 members, rotated weights) every ~1ms and moves the
+// one backend it parks at weight 0 every 4th commit — every commit
+// publishes a fresh immutable PoolGeneration and retires the old one
+// through the epoch domain. Membership is stable, so counter conservation
+// stays exact even though the generation under the packet path changes
+// hundreds of times per second.
 ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
                             std::uint64_t requests_per_flow,
                             double duration_sec, bool commit) {
@@ -346,13 +346,16 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
     // even under TSan; pick cost is table-size independent.
     klb::lb::Mux mux(net, kVip, std::make_unique<klb::lb::MaglevPolicy>(4099),
                      /*attach_to_vip=*/true, klb::lb::FlowTableConfig{});
-    auto make_program = [&mux](std::uint64_t rotation) {
+    // `parked` (kDips = none) is programmed kActive at weight 0: it keeps
+    // its place in the pool but takes no new connections.
+    auto make_program = [&mux](std::uint64_t rotation,
+                               std::size_t parked = kDips) {
       klb::lb::PoolProgram p(mux.issue_version());
       for (std::size_t d = 0; d < kDips; ++d) {
         const auto units = static_cast<std::int64_t>(
             klb::util::kWeightScale / kDips + ((d + rotation) % 8) * 16);
         p.add(klb::net::IpAddr(static_cast<std::uint32_t>(0x0a010000 + d)),
-              units);
+              d == parked ? 0 : units);
       }
       return p;
     };
@@ -388,20 +391,16 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
       committer = std::thread([&] {
         while (!go.load(std::memory_order_acquire)) {
         }
-        std::size_t disabled = kDips;  // kDips = none disabled
+        std::size_t parked = kDips;  // kDips = none parked
         while (!stop.load(std::memory_order_acquire)) {
-          mux.apply_program(make_program(commits));
+          mux.apply_program(make_program(commits, parked));
           ++commits;
-          if (commits % 4 == 0) {
-            // At most one backend disabled at a time; ids are stable, so
-            // the shared per-backend counters keep conservation exact.
-            if (disabled < kDips) mux.set_backend_enabled(disabled, true);
-            disabled = (commits / 4) % kDips;
-            mux.set_backend_enabled(disabled, false);
-          }
+          // At most one backend parked at a time, moving every 4 commits;
+          // ids are stable, so the shared per-backend counters keep
+          // conservation exact.
+          if (commits % 4 == 0) parked = (commits / 4) % kDips;
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        if (disabled < kDips) mux.set_backend_enabled(disabled, true);
       });
     }
 

@@ -68,7 +68,9 @@ struct ConsistencyConfig {
   bool stateless = false;
   /// A changed slot stays on the exception path for this many publishes
   /// (>= 1). Larger windows tolerate longer flow silences across churn at
-  /// the cost of more exception pins.
+  /// the cost of more exception pins. Every commit — a program, a failure,
+  /// a completed drain — is exactly one publish, on a single Mux and on
+  /// each MuxPool member alike, so the window spans `history` commits.
   std::size_t history = 8;
   /// Quiescence window a drainer must be idle for before its drain may
   /// auto-complete (stateless mode only). Stateless flows hold no pin, so

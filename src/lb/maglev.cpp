@@ -33,6 +33,16 @@ std::size_t next_prime(std::size_t n) {
   return n;
 }
 
+/// (id, weight) pairs in id order: the order-free form built_from compares.
+std::vector<std::pair<std::uint64_t, std::int64_t>> sorted_pairs(
+    const std::vector<MaglevEntry>& entries) {
+  std::vector<std::pair<std::uint64_t, std::int64_t>> out;
+  out.reserve(entries.size());
+  for (const auto& e : entries) out.emplace_back(e.id, e.weight_units);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 }  // namespace
 
 MaglevTable::MaglevTable(std::size_t min_table_size) {
@@ -46,6 +56,7 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
   std::fill(slots_.begin(), slots_.end(), kEmptySlot);
   ids_.resize(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) ids_[i] = entries[i].id;
+  built_from_ = sorted_pairs(entries);
 
   std::vector<std::uint32_t> usable;  // entry indexes with positive weight
   std::vector<std::int64_t> weights;
@@ -95,6 +106,11 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
   }
 }
 
+bool MaglevTable::built_from(const std::vector<MaglevEntry>& entries) const {
+  return entries.size() == built_from_.size() &&
+         sorted_pairs(entries) == built_from_;
+}
+
 void MaglevTable::resolve_slots(std::vector<std::uint32_t>& out) const {
   out.resize(slots_.size());
   for (std::size_t s = 0; s < slots_.size(); ++s) {
@@ -121,10 +137,48 @@ std::size_t MaglevPolicy::pick(const net::FiveTuple& tuple,
   return idx;  // entries are built 1:1 with backend indexes
 }
 
+SharedMaglevTables::SharedMaglevTables(std::size_t min_table_size)
+    : min_table_size_(min_table_size),
+      latest_(std::make_shared<MaglevTable>(min_table_size)) {}
+
+std::shared_ptr<const MaglevTable> SharedMaglevTables::table_for(
+    const std::vector<MaglevEntry>& entries) {
+  util::MutexLock lk(mu_);
+  if (!latest_->built_from(entries)) {
+    auto table = std::make_shared<MaglevTable>(min_table_size_);
+    table->build(entries);
+    latest_ = std::move(table);
+    ++builds_;
+  }
+  return latest_;
+}
+
+std::shared_ptr<const MaglevTable> SharedMaglevTables::latest() const {
+  util::MutexLock lk(mu_);
+  return latest_;
+}
+
+std::uint64_t SharedMaglevTables::builds() const {
+  util::MutexLock lk(mu_);
+  return builds_;
+}
+
+void SharedMaglevPolicy::prepare(const std::vector<BackendView>& backends) {
+  std::vector<MaglevEntry> entries;
+  entries.reserve(backends.size());
+  for (const auto& b : backends)
+    if (b.enabled)
+      entries.push_back(MaglevEntry{b.addr.value(), b.weight_units});
+  if (!table_->built_from(entries)) table_ = tables_->table_for(entries);
+  index_by_id_.clear();
+  for (std::size_t i = 0; i < backends.size(); ++i)
+    index_by_id_[backends[i].addr.value()] = i;
+  index_dirty_ = false;
+}
+
 std::size_t SharedMaglevPolicy::pick(const net::FiveTuple& tuple,
                                      const std::vector<BackendView>& backends,
                                      util::Rng&) KLB_NONALLOCATING {
-  if (!table_) return kNoBackend;
   if (index_dirty_ || index_by_id_.size() != backends.size()) {
     KLB_EFFECT_ESCAPE("policy.maglev_rebuild", {
       index_by_id_.clear();
@@ -136,9 +190,9 @@ std::size_t SharedMaglevPolicy::pick(const net::FiveTuple& tuple,
   const auto id = table_->lookup_id(net::hash_tuple(tuple));
   if (id == MaglevTable::kNoId) return kNoBackend;
   const auto it = index_by_id_.find(id);
-  // The table and the pool commit together, so a miss means the snapshot
-  // predates this mux's view (or the backend was imperatively removed);
-  // refuse rather than guess — affinity hits never reach this path.
+  // The table and the pool commit together — prepare() derived it from
+  // this very generation's backends — so every id it names is served
+  // here; a miss is unreachable, and refused rather than guessed.
   if (it == index_by_id_.end()) return kNoBackend;
   const auto& b = backends[it->second];
   if (!b.enabled || b.weight_units <= 0) return kNoBackend;

@@ -19,9 +19,11 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lb/policy.hpp"
+#include "util/sync.hpp"
 
 namespace klb::lb {
 
@@ -69,6 +71,14 @@ class MaglevTable {
   std::size_t entry_count() const { return ids_.size(); }
   std::uint64_t builds() const { return builds_; }
 
+  /// True when the last build() took the same (id, weight) entries as
+  /// `entries`, in any order; a table never built was built from none.
+  /// Order only picks which of two equally weighted tables gets built, so
+  /// a pool member whose registration order drifted from its peers' (a
+  /// cancelled drain re-admitted at the end on one of them) can still
+  /// share their table.
+  bool built_from(const std::vector<MaglevEntry>& entries) const;
+
   /// Slots owned per entry index (weight-proportionality checks).
   std::vector<std::size_t> slot_counts() const;
 
@@ -82,6 +92,8 @@ class MaglevTable {
  private:
   std::vector<std::uint32_t> slots_;  // entry index or kEmptySlot
   std::vector<std::uint64_t> ids_;    // stable id per entry index
+  /// The last build's (id, weight) entries, sorted.
+  std::vector<std::pair<std::uint64_t, std::int64_t>> built_from_;
   std::uint64_t builds_ = 0;
 };
 
@@ -138,14 +150,43 @@ class MaglevPolicy : public Policy {
   std::size_t cached_count_ = 0;
 };
 
-/// Maglev policy backed by an externally built, immutable table snapshot.
+/// The pool-owned memo SharedMaglevPolicy::prepare() draws its tables
+/// from. The first pool member to publish a new entry set builds the
+/// table; every other member whose entries match gets the same snapshot.
+/// A pool commit therefore costs one build, and all members serve
+/// pointer-equal tables. The lock is a leaf taken under klb.mux.control.
+class SharedMaglevTables {
+ public:
+  /// Starts with an empty table of the final geometry: every table built
+  /// later allocates the same prime slot count.
+  explicit SharedMaglevTables(
+      std::size_t min_table_size = MaglevTable::kDefaultMinSize);
+
+  /// The latest table if it was built from `entries` (any order), else a
+  /// fresh build of `entries`, which becomes the latest.
+  std::shared_ptr<const MaglevTable> table_for(
+      const std::vector<MaglevEntry>& entries) KLB_EXCLUDES(mu_);
+  std::shared_ptr<const MaglevTable> latest() const KLB_EXCLUDES(mu_);
+  /// Tables built so far (the initial empty one does not count).
+  std::uint64_t builds() const KLB_EXCLUDES(mu_);
+
+ private:
+  const std::size_t min_table_size_;
+  mutable util::Mutex mu_{"klb.maglev.tables",
+                          util::LockFlags::kControlPlane};
+  std::shared_ptr<const MaglevTable> latest_ KLB_GUARDED_BY(mu_);
+  std::uint64_t builds_ KLB_GUARDED_BY(mu_) = 0;
+};
+
+/// Maglev policy serving an immutable table snapshot shared pool-wide.
 ///
 /// A MuxPool ECMP-shards one VIP over N muxes; for their picks to agree
 /// (per-connection consistency even when ECMP re-shards a flow to another
-/// mux), all N must consult the *same* table. The pool builds one
-/// MaglevTable per committed program version and publishes it to every
-/// member's policy as a shared_ptr<const> snapshot — pointer-equal across
-/// the pool, swapped atomically, never mutated in place.
+/// mux), all N must consult the *same* table. Each generation's policy
+/// derives its table from that generation's own backends in prepare(), so
+/// the table and the membership it indexes are published together, in one
+/// generation; the pool's SharedMaglevTables memo makes the derivation one
+/// build per commit, pointer-equal across the pool, never mutated in place.
 ///
 /// The table resolves hashes to stable ids (DIP address values); the
 /// policy maps ids to local backend indexes through a cache rebuilt on
@@ -153,6 +194,9 @@ class MaglevPolicy : public Policy {
 /// (a draining backend may linger on one mux and be gone from another).
 class SharedMaglevPolicy : public Policy {
  public:
+  explicit SharedMaglevPolicy(std::shared_ptr<SharedMaglevTables> tables)
+      : tables_(std::move(tables)), table_(tables_->latest()) {}
+
   std::string name() const override { return "maglev-shared"; }
   bool weighted() const override { return true; }
   bool pick_is_tuple_deterministic() const override { return true; }
@@ -165,18 +209,13 @@ class SharedMaglevPolicy : public Policy {
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<SharedMaglevPolicy>(*this);
   }
-  void prepare(const std::vector<BackendView>& backends) override {
-    index_by_id_.clear();
-    for (std::size_t i = 0; i < backends.size(); ++i)
-      index_by_id_[backends[i].addr.value()] = i;
-    index_dirty_ = false;
-  }
+  /// Take the table for these backends: entries are the enabled ones
+  /// (drainers are parked disabled), id = address value, weight = units,
+  /// in registration order. The cloned table stays when it was built from
+  /// the same entries (a drain completion); otherwise the pool memo
+  /// supplies it. Then fill the id->index cache.
+  void prepare(const std::vector<BackendView>& backends) override;
 
-  /// Publish a new snapshot (pool-wide, once per program version).
-  void set_table(std::shared_ptr<const MaglevTable> table) {
-    table_ = std::move(table);
-    index_dirty_ = true;
-  }
   /// The current snapshot — pointer-equal across all muxes of a pool.
   const std::shared_ptr<const MaglevTable>& table_snapshot() const {
     return table_;
@@ -186,14 +225,15 @@ class SharedMaglevPolicy : public Policy {
   const MaglevTable* maglev_table() const override { return table_.get(); }
 
   /// Steady-state: hash + table read + two frozen-map finds, allocation-
-  /// free. The id->index cache rebuild after invalidate()/set_table() is
-  /// the "policy.maglev_rebuild" escape (prepare() fills it eagerly on the
+  /// free. The id->index cache rebuild after invalidate() is the
+  /// "policy.maglev_rebuild" escape (prepare() fills it eagerly on the
   /// control plane, so published generations never take it).
   std::size_t pick(const net::FiveTuple& tuple,
                    const std::vector<BackendView>& backends,
                    util::Rng& rng) KLB_NONALLOCATING override;
 
  private:
+  std::shared_ptr<SharedMaglevTables> tables_;
   std::shared_ptr<const MaglevTable> table_;
   std::unordered_map<std::uint64_t, std::size_t> index_by_id_;
   bool index_dirty_ = true;

@@ -61,18 +61,12 @@ Mux::~Mux() {
   if (attached_) net_.attach(vip_, nullptr);
 }
 
-void Mux::set_policy(std::unique_ptr<Policy> policy) {
-  util::MutexLock lk(control_mutex_);
-  publish_locked(draft_locked(), applied_version(), std::move(policy));
-}
-
 std::shared_ptr<const MaglevTable> Mux::shared_table_snapshot() const {
   auto ref = read_gen();
   const auto* shared =
       dynamic_cast<const SharedMaglevPolicy*>(&ref.gen->policy());
   // Reading without pick_mutex_ is safe: a published generation's policy
-  // never has set_table called on it again — the snapshot is frozen at
-  // publication.
+  // is never prepared again — the snapshot is frozen at publication.
   return shared ? shared->table_snapshot() : nullptr;
 }
 
@@ -93,13 +87,13 @@ void Mux::publish_locked(std::vector<GenBackend> backends,
     policy = current_owner_->policy().clone();
   }
   policy->invalidate();
+  // The constructor prepares the policy (maglev's table fill) on the
+  // control thread: no reader can see this generation yet, so no lock is
+  // needed, and the first pick against it pays nothing extra under
+  // pick_mutex_.
   auto gen = std::make_shared<PoolGeneration>(seq, program_version,
                                               std::move(backends),
                                               std::move(policy));
-  // Eager per-pool state build (maglev's table fill) on the control
-  // thread: no reader can see this generation yet, so no lock is needed,
-  // and the first pick against it pays nothing extra under pick_mutex_.
-  gen->policy().prepare(gen->views());
 
   if (diff_ && gen->policy_caches_picks()) {
     // Hybrid dataplane: diff the freshly built table against the history
@@ -309,7 +303,7 @@ void Mux::apply_program(const PoolProgram& program) {
   }
 
   // Weights apply literally — the transaction declares the whole pool, so
-  // there is nothing to rescale (unlike the imperative churn ops below).
+  // there is nothing to rescale (unlike add_backend/fail_backend below).
   publish_locked(std::move(draft), program.version);
   for (const auto id : dropped_ids) drop_affinity_for(id, false);
 }
@@ -336,7 +330,7 @@ std::size_t Mux::draining_count() const {
   return n;
 }
 
-// --- imperative lifecycle (direct dataplane manipulation) ----------------------
+// --- dataplane-local lifecycle ----------------------------------------------
 
 std::uint64_t Mux::add_backend(net::IpAddr dip,
                                const server::DipServer* server) {
@@ -366,43 +360,27 @@ std::uint64_t Mux::add_backend(net::IpAddr dip,
   return id;
 }
 
-bool Mux::remove_backend(std::size_t i) {
-  util::MutexLock lk(control_mutex_);
-  return erase_backend(i, false);
-}
-
-bool Mux::fail_backend(std::size_t i,
+bool Mux::fail_backend(net::IpAddr dip,
                        std::optional<std::uint64_t> condemned_until_version) {
   util::MutexLock lk(control_mutex_);
-  if (i >= current_owner_->size()) return false;
   // Tombstone the address against every transaction issued up to the
   // failure observation: one of them may still be riding the programming
   // delay, and committing it must not resurrect the corpse.
-  condemn_locked(current_owner_->backends()[i].addr,
-                 condemned_until_version ? *condemned_until_version
-                                         : issued_versions());
-  return erase_backend(i, true);
-}
-
-void Mux::condemn(net::IpAddr addr, std::uint64_t until_version) {
-  util::MutexLock lk(control_mutex_);
-  condemn_locked(addr, until_version);
-}
-
-bool Mux::erase_backend(std::size_t i, bool failed) {
+  failed_tombstones_[dip.value()] =
+      condemned_until_version ? *condemned_until_version : issued_versions();
   auto draft = draft_locked();
-  if (i >= draft.size()) return false;
-  const auto id = draft[i].id;
-  if (failed) {
-    util::log_warn(kLog)
-        << "backend " << draft[i].addr.str() << " failed; resetting "
-        << draft[i].counters->active.load(std::memory_order_relaxed)
-        << " pinned flows";
-  }
-  draft.erase(draft.begin() + static_cast<std::ptrdiff_t>(i));
+  const auto it =
+      std::find_if(draft.begin(), draft.end(),
+                   [dip](const GenBackend& b) { return b.addr == dip; });
+  if (it == draft.end()) return false;
+  const auto id = it->id;
+  util::log_warn(kLog) << "backend " << dip.str() << " failed; resetting "
+                       << it->counters->active.load(std::memory_order_relaxed)
+                       << " pinned flows";
+  draft.erase(it);
   renormalize_weights(draft);
   publish_locked(std::move(draft), applied_version());
-  drop_affinity_for(id, failed);
+  drop_affinity_for(id, /*count_as_reset=*/true);
   return true;
 }
 
@@ -434,9 +412,9 @@ void Mux::drop_affinity_for(std::uint64_t id, bool count_as_reset) {
   if (count_as_reset) {
     flows_reset_.fetch_add(n, std::memory_order_relaxed);
   } else {
-    // Graceful-path abrupt drop (transactional kRemoved, omission, or an
-    // imperative remove): not a failure reset, not a drained-to-zero —
-    // without its own counter these flows vanish from every metric.
+    // Graceful-path abrupt drop (transactional kRemoved or omission): not
+    // a failure reset, not a drained-to-zero — without its own counter
+    // these flows vanish from every metric.
     flows_dropped_.fetch_add(n, std::memory_order_relaxed);
   }
 }
@@ -507,54 +485,12 @@ std::uint64_t Mux::active_connections(std::size_t i) const {
              : 0;
 }
 
-// --- imperative weight programming ---------------------------------------------
-
-bool Mux::set_weight_units(const std::vector<std::int64_t>& units) {
-  util::MutexLock lk(control_mutex_);
-  auto draft = draft_locked();
-  if (units.size() != draft.size()) {
-    rejected_programmings_.fetch_add(1, std::memory_order_relaxed);
-    util::log_warn(kLog) << "rejecting weight programming: " << units.size()
-                         << " entries for " << draft.size()
-                         << " backends (controller out of sync with pool)";
-    return false;
-  }
-  for (std::size_t i = 0; i < draft.size(); ++i)
-    draft[i].weight_units =
-        draft[i].draining ? 0 : (units[i] < 0 ? 0 : units[i]);
-  publish_locked(std::move(draft), applied_version());
-  return true;
-}
-
 std::vector<std::int64_t> Mux::weight_units() const {
   auto ref = read_gen();
   std::vector<std::int64_t> out(ref.gen->size());
   for (std::size_t i = 0; i < ref.gen->size(); ++i)
     out[i] = ref.gen->backends()[i].weight_units;
   return out;
-}
-
-bool Mux::set_backend_enabled(std::size_t i, bool enabled) {
-  util::MutexLock lk(control_mutex_);
-  auto draft = draft_locked();
-  if (i >= draft.size()) {
-    util::log_warn(kLog) << "set_backend_enabled(" << i << ") out of range ("
-                         << draft.size() << " backends)";
-    return false;
-  }
-  if (enabled && draft[i].draining) {
-    // Enabling a drainer would leave `draining && enabled`: it keeps
-    // accepting new connections, so its affinity never empties and the
-    // promised auto-removal never completes. Cancel the drain explicitly
-    // (re-list kActive in a PoolProgram) instead.
-    util::log_warn(kLog) << "refusing to enable draining backend "
-                         << draft[i].addr.str()
-                         << " (cancel the drain via a pool program instead)";
-    return false;
-  }
-  draft[i].enabled = enabled;
-  publish_locked(std::move(draft), applied_version());
-  return true;
 }
 
 void Mux::reset_counters() {
@@ -569,7 +505,6 @@ void Mux::reset_counters() {
   flows_reset_.store(0, std::memory_order_relaxed);
   flows_gced_.store(0, std::memory_order_relaxed);
   flows_dropped_.store(0, std::memory_order_relaxed);
-  rejected_programmings_.store(0, std::memory_order_relaxed);
   superseded_programs_.store(0, std::memory_order_relaxed);
   stale_failed_admissions_.store(0, std::memory_order_relaxed);
   stateless_picks_.store(0, std::memory_order_relaxed);
@@ -731,7 +666,7 @@ std::optional<std::size_t> Mux::resolve_stateless(const PoolGeneration& gen,
   const auto pick = table.lookup_id(hash);
   if (pick == MaglevTable::kNoId) return std::nullopt;
   const auto idx = gen.index_of_addr(static_cast<std::uint32_t>(pick));
-  if (!idx) return std::nullopt;  // table predates this view; policy refuses
+  if (!idx) return std::nullopt;  // defensive: tables are built per generation
   const auto& b = gen.backends()[*idx];
   if (!b.enabled || b.draining || b.weight_units <= 0) return std::nullopt;
   stateless_picks_.fetch_add(1, std::memory_order_relaxed);

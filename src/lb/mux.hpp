@@ -8,11 +8,13 @@
 // maintain per-DIP active connection counts for (W)LC — the proxy-visible
 // signal HAProxy uses.
 //
-// Pool state is published as immutable generations (ROADMAP item 1, the
-// RCU-style scheme): every control-plane mutation — a committed
-// PoolProgram, imperative churn, a weight or enable change, a policy swap
-// — builds a fresh lb::PoolGeneration (membership, weights, flags, and a
-// per-generation policy clone) and swings one atomic pointer to it. The
+// Pool state is published as immutable generations (the RCU-style
+// scheme): every control-plane mutation — a committed PoolProgram, an
+// abrupt fail_backend, a completed drain, an add_backend — builds exactly
+// one fresh lb::PoolGeneration (membership, weights, flags, and a
+// per-generation policy clone prepared against that membership, so a
+// maglev table always matches the backends it indexes) and swings one
+// atomic pointer to it. The
 // packet path pins the current generation through an EpochDomain (one CAS
 // + one store per packet, no lock, no allocation), works against that
 // frozen snapshot for the duration of the packet, and unpins; superseded
@@ -109,10 +111,6 @@ class Mux : public net::Node, public PoolProgrammer {
 
   net::IpAddr vip() const { return vip_; }
 
-  /// Replace the policy (connection table survives, like a HAProxy
-  /// reload). Publishes a new generation carrying the given instance.
-  void set_policy(std::unique_ptr<Policy> policy) KLB_EXCLUDES(control_mutex_);
-
   /// The maglev snapshot the current generation's policy serves, or null
   /// when the policy is not a SharedMaglevPolicy (MuxPool introspection).
   std::shared_ptr<const MaglevTable> shared_table_snapshot() const;
@@ -162,36 +160,30 @@ class Mux : public net::Node, public PoolProgrammer {
                             const server::DipServer* server = nullptr)
       KLB_EXCLUDES(control_mutex_);
 
-  /// Deregister backend `i` (scale-in): its affinity entries are dropped
-  /// and the survivors are rescaled back to kWeightScale (exactly unchanged
-  /// when the backend was already drained to weight 0; a fully parked pool
-  /// stays parked). Returns false for an out-of-range index.
-  bool remove_backend(std::size_t i) KLB_EXCLUDES(control_mutex_);
-
-  /// Abrupt backend death (host failure): like remove_backend but the
-  /// pinned flows are counted as reset — their clients see a connection
-  /// reset and retry as new flows on the survivors. The address is also
-  /// tombstoned at `condemned_until_version` (default: every version this
-  /// dataplane's sequence has issued so far; a MuxPool passes its own
-  /// counter): a transaction issued at or before that version predates the
+  /// Abrupt backend death (host failure): `dip` is removed, its pinned
+  /// flows are counted as reset — their clients see a connection reset and
+  /// retry as new flows on the survivors — and the survivors are rescaled
+  /// back to kWeightScale (unchanged when the dead backend held weight 0;
+  /// a fully parked pool stays parked). Returns false when `dip` is not
+  /// served here. Either way the address is tombstoned at
+  /// `condemned_until_version` (default: every version this dataplane's
+  /// sequence has issued so far; a MuxPool passes its own counter, so a
+  /// member whose drain of `dip` completed first still agrees with the
+  /// others): a transaction issued at or before that version predates the
   /// failure observation, so its entry cannot re-admit the corpse at its
   /// old weight while riding out the programming delay — that would
   /// blackhole the dead DIP's hash space until the next post-failure
   /// commit. A transaction issued after the failure re-admits normally
-  /// (a deliberate resurrection) and clears the tombstone.
-  bool fail_backend(std::size_t i,
+  /// (a deliberate resurrection) and clears the tombstone. The address is
+  /// resolved under the control lock, so a concurrent drain sweep cannot
+  /// shift it to another backend's index.
+  bool fail_backend(net::IpAddr dip,
                     std::optional<std::uint64_t> condemned_until_version =
                         std::nullopt) KLB_EXCLUDES(control_mutex_);
 
-  /// Record the failure tombstone alone (see fail_backend) without
-  /// touching any backend — a MuxPool uses it to keep members that do not
-  /// currently serve the address in agreement with those that do.
-  void condemn(net::IpAddr addr, std::uint64_t until_version)
-      KLB_EXCLUDES(control_mutex_);
-
   /// Bounds-checked accessors: an out-of-range index is loud (warn +
-  /// sentinel), matching remove_backend's convention — never UB. Indices
-  /// name positions in the *current* generation.
+  /// sentinel) — never UB. Indices name positions in the *current*
+  /// generation.
   net::IpAddr backend_addr(std::size_t i) const;
   std::uint64_t backend_id(std::size_t i) const;
   bool backend_enabled(std::size_t i) const;
@@ -199,25 +191,9 @@ class Mux : public net::Node, public PoolProgrammer {
   /// Index currently holding stable id `id`, if the backend still exists.
   std::optional<std::size_t> index_of_id(std::uint64_t id) const;
 
-  /// Program weights (grid units, util::kWeightScale = 1.0), one entry per
-  /// backend in registration order — the legacy imperative path, kept for
-  /// direct dataplane manipulation in tests/benches (controllers go
-  /// through apply_program). A vector whose size does not match
-  /// backend_count() is rejected with a warning; returns false then.
-  /// Draining backends stay parked at 0 regardless of the vector.
-  bool set_weight_units(const std::vector<std::int64_t>& units)
-      KLB_EXCLUDES(control_mutex_);
+  /// Programmed weights (grid units, util::kWeightScale = 1.0), one entry
+  /// per backend in registration order.
   std::vector<std::int64_t> weight_units() const;
-
-  /// Administratively park (enabled = false) or unpark a backend without
-  /// the removal lifecycle — a temporary maintenance knob. Enabling a
-  /// *draining* backend is refused (warn + false): the drainer would keep
-  /// accepting new connections while `draining` still promises auto-removal
-  /// on empty, so it could never complete (ISSUE 5). Cancelling a drain is
-  /// an explicit act: re-list the backend kActive in a PoolProgram.
-  /// Returns false for an out-of-range index too.
-  bool set_backend_enabled(std::size_t i, bool enabled)
-      KLB_EXCLUDES(control_mutex_);
 
   // --- affinity state --------------------------------------------------------
 
@@ -256,9 +232,6 @@ class Mux : public net::Node, public PoolProgrammer {
   std::uint64_t no_backend_drops() const {
     return no_backend_drops_.load(std::memory_order_relaxed);
   }
-  std::uint64_t rejected_programmings() const {
-    return rejected_programmings_.load(std::memory_order_relaxed);
-  }
   std::uint64_t flows_reset_by_failure() const {
     return flows_reset_.load(std::memory_order_relaxed);
   }
@@ -266,10 +239,9 @@ class Mux : public net::Node, public PoolProgrammer {
     return flows_gced_.load(std::memory_order_relaxed);
   }
   /// Pinned flows dropped by an abrupt *graceful-path* removal — a
-  /// transactional kRemoved, omission from a non-weights-only program, or
-  /// an imperative remove_backend — as opposed to reset-by-failure or
-  /// drained-to-zero. Invisible before ISSUE 5: these flows vanished from
-  /// every metric.
+  /// transactional kRemoved or omission from a non-weights-only program —
+  /// as opposed to reset-by-failure or drained-to-zero. Without it these
+  /// flows would vanish from every metric.
   std::uint64_t flows_dropped_by_removal() const {
     return flows_dropped_.load(std::memory_order_relaxed);
   }
@@ -427,9 +399,10 @@ class Mux : public net::Node, public PoolProgrammer {
       KLB_NONALLOCATING KLB_EXCLUDES(pick_mutex_);
 
   /// Build and publish the next generation from `backends`, cloning the
-  /// current policy unless `policy_override` supplies one. Re-keys the
-  /// flow cache, swings the pointer, retires the predecessor. Caller holds
-  /// control_mutex_ (and NOT pick_mutex_).
+  /// current policy unless `policy_override` supplies one (the
+  /// constructor's initial policy). Re-keys the flow cache, swings the
+  /// pointer, retires the predecessor. Caller holds control_mutex_ (and
+  /// NOT pick_mutex_).
   void publish_locked(std::vector<GenBackend> backends,
                       std::uint64_t program_version,
                       std::unique_ptr<Policy> policy_override = nullptr)
@@ -453,11 +426,6 @@ class Mux : public net::Node, public PoolProgrammer {
   /// control_mutex_. No-op when the pending flag is clear.
   void sweep_drains_locked() KLB_REQUIRES(control_mutex_);
 
-  void condemn_locked(net::IpAddr addr, std::uint64_t until_version)
-      KLB_REQUIRES(control_mutex_) {
-    failed_tombstones_[addr.value()] = until_version;
-  }
-  bool erase_backend(std::size_t i, bool failed) KLB_REQUIRES(control_mutex_);
   void drop_affinity_for(std::uint64_t id, bool count_as_reset);
   /// Rescale `draft` weights to sum kWeightScale, preserving ratios.
   /// All-zero pools stay parked (traffic deliberately weighted away).
@@ -528,7 +496,6 @@ class Mux : public net::Node, public PoolProgrammer {
   std::atomic<std::uint64_t> flows_reset_{0};
   std::atomic<std::uint64_t> flows_gced_{0};
   std::atomic<std::uint64_t> flows_dropped_{0};
-  std::atomic<std::uint64_t> rejected_programmings_{0};
   std::atomic<std::uint64_t> applied_version_{0};
   std::atomic<std::uint64_t> superseded_programs_{0};
   std::atomic<std::uint64_t> stale_failed_admissions_{0};

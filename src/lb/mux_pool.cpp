@@ -26,23 +26,23 @@ std::uint64_t mix64(std::uint64_t x) {
 MuxPool::MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
                  std::size_t min_table_size, FlowTableConfig flow_cfg,
                  ConsistencyConfig consistency)
-    : net_(net), vip_(vip), min_table_size_(min_table_size) {
+    : net_(net),
+      vip_(vip),
+      tables_(std::make_shared<SharedMaglevTables>(min_table_size)) {
   mux_count = std::max<std::size_t>(1, mux_count);
   // ECMP spreads the flow space uniformly, so each member expects its
   // even share of the pool-wide flow population.
   flow_cfg.expected_flows /= mux_count;
   muxes_.reserve(mux_count);
   for (std::size_t k = 0; k < mux_count; ++k) {
-    auto policy = std::make_unique<SharedMaglevPolicy>();
-    // An empty table of the final geometry: hybrid engagement sizes its
-    // slot-pin counters from the policy's table in the Mux constructor,
-    // and every table published later (publish_table) allocates the same
+    // Every member policy starts on the memo's empty table of the final
+    // geometry: hybrid engagement sizes its slot-pin counters from it in
+    // the Mux constructor, and every table built later allocates the same
     // prime slot count, so the filters stay comparable for the pool's
     // whole lifetime.
-    policy->set_table(std::make_shared<MaglevTable>(min_table_size_));
-    muxes_.push_back(std::make_unique<Mux>(net_, vip_, std::move(policy),
-                                           /*attach_to_vip=*/false, flow_cfg,
-                                           consistency));
+    muxes_.push_back(std::make_unique<Mux>(
+        net_, vip_, std::make_unique<SharedMaglevPolicy>(tables_),
+        /*attach_to_vip=*/false, flow_cfg, consistency));
   }
   net_.attach(vip_, this);
 }
@@ -84,37 +84,12 @@ void MuxPool::apply_program(const PoolProgram& program) {
   }
   applied_version_ = program.version;
 
+  // One generation per member, each carrying the table built from its own
+  // membership: the first member's commit builds it (the memo), the rest
+  // share the snapshot. Entry order follows the members' registration
+  // order, which tracks the programs' stable relative order, so the
+  // rebuild stays minimally disruptive.
   for (auto& m : muxes_) m->apply_program(program);
-  publish_table();
-}
-
-void MuxPool::publish_table() {
-  // One maglev build per commit, derived from the post-apply pool state
-  // (member 0 is representative: every member applied the same programs,
-  // and draining stragglers are excluded from the table either way).
-  // Entry order follows the members' registration order, which tracks the
-  // programs' stable relative order, so the rebuild stays minimally
-  // disruptive. Ids are DIP address values — identical on every mux by
-  // construction, which is what makes one table servable by all of them.
-  const auto& m = *muxes_.front();
-  const auto units = m.weight_units();
-  std::vector<MaglevEntry> entries;
-  entries.reserve(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    if (m.backend_draining(i)) continue;
-    entries.push_back(MaglevEntry{m.backend_addr(i).value(), units[i]});
-  }
-  auto table = std::make_shared<MaglevTable>(min_table_size_);
-  table->build(entries);
-  ++shared_builds_;
-  for (auto& mux : muxes_) {
-    // Each member gets a fresh policy instance carrying the pointer-equal
-    // snapshot, published as a new pool generation — the table itself is
-    // still built once and shared pool-wide.
-    auto policy = std::make_unique<SharedMaglevPolicy>();
-    policy->set_table(table);
-    mux->set_policy(std::move(policy));
-  }
 }
 
 void MuxPool::poll() {
@@ -127,25 +102,13 @@ bool MuxPool::fail_backend(net::IpAddr dip) {
   // their own): every member refuses the same set of pre-failure
   // transactions, so they cannot diverge on whether the corpse is served.
   const auto condemned = issued_versions();
+  // Each member's one publish carries the rebuilt shared table: the dead
+  // DIP's hash space redistributes to the survivors immediately (its reset
+  // flows retry as new connections). A member not serving the DIP (its
+  // drain completed there first) still records the tombstone, so all
+  // members agree on which in-flight transactions may re-admit it.
   bool any = false;
-  for (const auto& m : muxes_) {
-    bool served = false;
-    for (std::size_t i = 0; i < m->backend_count(); ++i) {
-      if (m->backend_addr(i) == dip) {
-        served = true;
-        any = m->fail_backend(i, condemned) || any;
-        break;
-      }
-    }
-    // A member not serving the DIP (e.g. its drain completed there first)
-    // still records the tombstone, so all members agree on which
-    // in-flight transactions are allowed to re-admit the address.
-    if (!served) m->condemn(dip, condemned);
-  }
-  // Rebuild the shared table now: the dead DIP's hash space redistributes
-  // to the survivors immediately (its reset flows retry as new
-  // connections), instead of blackholing until the next program commits.
-  if (any) publish_table();
+  for (const auto& m : muxes_) any = m->fail_backend(dip, condemned) || any;
   return any;
 }
 
@@ -296,16 +259,26 @@ void MuxPool::on_batch(const net::Message* const* msgs, std::size_t n) {
     shard_of_msg = heap_shard.data();
     out = heap_out.data();
   }
-  std::vector<std::uint32_t> counts(shards + 1, 0);
+  // One offsets array, on the stack for pools of up to kStack members:
+  // offsets[k + 1] first counts shard k, the prefix sum turns offsets[k]
+  // into shard k's first slot, and placement advances it to one past
+  // shard k's last — so shard k ends up spanning [offsets[k-1], offsets[k]).
+  std::uint32_t stack_offsets[kStack + 1];
+  std::vector<std::uint32_t> heap_offsets;
+  std::uint32_t* offsets = stack_offsets;
+  if (shards > kStack) {
+    heap_offsets.resize(shards + 1);
+    offsets = heap_offsets.data();
+  }
+  std::fill(offsets, offsets + shards + 1, 0u);
   for (std::size_t i = 0; i < n; ++i) {
     shard_of_msg[i] = static_cast<std::uint32_t>(shard_of(msgs[i]->tuple));
-    ++counts[shard_of_msg[i] + 1];
+    ++offsets[shard_of_msg[i] + 1];
   }
-  for (std::size_t k = 1; k <= shards; ++k) counts[k] += counts[k - 1];
-  std::vector<std::uint32_t> cursor(counts.begin(), counts.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) out[cursor[shard_of_msg[i]]++] = msgs[i];
+  for (std::size_t k = 1; k <= shards; ++k) offsets[k] += offsets[k - 1];
+  for (std::size_t i = 0; i < n; ++i) out[offsets[shard_of_msg[i]]++] = msgs[i];
   for (std::size_t k = 0; k < shards; ++k) {
-    const std::size_t begin = counts[k], end = counts[k + 1];
+    const std::size_t begin = k == 0 ? 0 : offsets[k - 1], end = offsets[k];
     if (begin != end) muxes_[k]->handle_batch(out + begin, end - begin);
   }
 }

@@ -4,14 +4,16 @@
 // routers ECMP-spray flows across them (Ananta/Maglev). Two properties
 // make that safe here:
 //
-//   1. One Maglev build per program version, shared by every mux. The
-//      pool builds a single weighted MaglevTable from each committed
-//      PoolProgram and publishes it to all members as an immutable
-//      shared_ptr<const> snapshot (pointer-equal across the pool), so any
-//      two muxes pick the same DIP for the same 5-tuple — a flow that ECMP
-//      re-shards to a different mux (router churn) still reaches its DIP
-//      even before an affinity entry exists there. This is also N-1 fewer
-//      O(table) builds per programming.
+//   1. One Maglev build per commit, shared by every mux. Each member's
+//      commit publishes exactly one generation, whose SharedMaglevPolicy
+//      derives the table from that generation's own backends; the
+//      pool-owned SharedMaglevTables memo builds it for the first member
+//      and hands the same immutable shared_ptr<const> snapshot to the rest
+//      (pointer-equal across the pool). So any two muxes pick the same DIP
+//      for the same 5-tuple — a flow that ECMP re-shards to a different mux
+//      (router churn) still reaches its DIP even before an affinity entry
+//      exists there — and no member ever serves a table that names a
+//      backend its generation has dropped.
 //   2. Transactions commit pool-wide: apply_program runs the version check
 //      once and applies the same program to every member, so the members
 //      can never serve different versions.
@@ -38,11 +40,11 @@ class MuxPool : public net::Node, public PoolProgrammer {
   /// members are detached and run the shared-snapshot maglev policy.
   /// `flow_cfg` sizes each member's flow table (expected_flows is split
   /// evenly across members — ECMP spreads the flow space uniformly);
-  /// `consistency` opts every member into the stateless fast path. The
-  /// pool hands each member policy an empty table of min_table_size before
-  /// construction, so hybrid engagement (which must size its slot-pin
-  /// counters in the Mux constructor) works even though the first real
-  /// table is only built at the first commit.
+  /// `consistency` opts every member into the stateless fast path. Every
+  /// member policy starts on the memo's empty table of min_table_size, so
+  /// hybrid engagement (which must size its slot-pin counters in the Mux
+  /// constructor) works even though the first real table is only built at
+  /// the first commit.
   MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
           std::size_t min_table_size = MaglevTable::kDefaultMinSize,
           FlowTableConfig flow_cfg = {}, ConsistencyConfig consistency = {});
@@ -82,16 +84,14 @@ class MuxPool : public net::Node, public PoolProgrammer {
     util::MutexLock lk(mu_);
     return superseded_programs_;
   }
-  /// Shared maglev builds (one per committed version, not per mux).
-  std::uint64_t shared_builds() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return shared_builds_;
-  }
+  /// Shared maglev builds: one per commit that changes the table's
+  /// entries, not one per mux.
+  std::uint64_t shared_builds() const { return tables_->builds(); }
 
   /// Abrupt backend death observed by the dataplane (host failure): drops
-  /// `dip` from every member, counting pinned flows as reset — the
-  /// counterpart of a graceful kDraining program. Returns true if any
-  /// member still served the DIP.
+  /// `dip` from every member in one publish each, counting pinned flows as
+  /// reset — the counterpart of a graceful kDraining program. Returns true
+  /// if any member still served the DIP.
   bool fail_backend(net::IpAddr dip) KLB_EXCLUDES(mu_);
 
   // --- aggregated dataplane counters -----------------------------------------
@@ -138,24 +138,19 @@ class MuxPool : public net::Node, public PoolProgrammer {
   void on_batch(const net::Message* const* msgs, std::size_t n) override;
 
  private:
-  /// Build one table from the current pool state and hand the snapshot to
-  /// every member (runs after each commit and after a dataplane-local
-  /// failure). Caller holds mu_; the members' own control locks are taken
-  /// underneath it (klb.muxpool.control -> klb.mux.control is the legal
-  /// order, never the reverse).
-  void publish_table() KLB_REQUIRES(mu_);
-
   net::Network& net_;
   net::IpAddr vip_;
-  std::size_t min_table_size_;
+  /// The members' shared table memo (each member policy holds a ref).
+  std::shared_ptr<SharedMaglevTables> tables_;
   std::vector<std::unique_ptr<Mux>> muxes_;
   /// Serializes pool-wide commits/failures against each other and guards
-  /// the version bookkeeping below.
+  /// the version bookkeeping below. The members' own control locks are
+  /// taken underneath it (klb.muxpool.control -> klb.mux.control, never
+  /// the reverse).
   mutable util::Mutex mu_{"klb.muxpool.control",
                           util::LockFlags::kControlPlane};
   std::uint64_t applied_version_ KLB_GUARDED_BY(mu_) = 0;
   std::uint64_t superseded_programs_ KLB_GUARDED_BY(mu_) = 0;
-  std::uint64_t shared_builds_ KLB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace klb::lb

@@ -86,10 +86,11 @@ class Policy {
   }
   /// The maglev lookup table backing this policy's deterministic picks,
   /// or nullptr when it has none. Non-null enables the Mux's stateless
-  /// fast path (lb/consistency.hpp): the table pointer must stay stable
-  /// for the policy's lifetime, and its *contents* must be frozen once
-  /// the generation carrying the policy is published (prepare() fills it
-  /// before publication) — the packet path reads it without a lock.
+  /// fast path (lb/consistency.hpp): prepare() may fill or swap the table,
+  /// but from then on the pointer must stay stable for the policy's
+  /// lifetime and the *contents* frozen — the generation carrying the
+  /// policy caches the pointer after prepare(), and the packet path reads
+  /// it without a lock.
   virtual const MaglevTable* maglev_table() const { return nullptr; }
 
  protected:

@@ -3,8 +3,8 @@
 // A PoolGeneration is one committed configuration of a VIP's pool:
 // membership, addresses, stable ids, weights, enable/drain flags, and the
 // policy instance that serves picks for this configuration. The Mux builds
-// one per control-plane mutation (pool program, imperative churn op,
-// weight change, policy swap), publishes it through a single atomic
+// one per control-plane mutation (pool program, failure, drain
+// completion, add_backend), publishes it through a single atomic
 // pointer, and retires the previous one into an EpochDomain — the packet
 // path loads the current generation wait-free and never observes a
 // half-applied configuration.
@@ -89,7 +89,9 @@ class PoolGeneration {
   /// `seq` is the Mux's generation sequence number (doubles as the flow
   /// cache's pick epoch); `program_version` the last committed
   /// transaction. The policy instance becomes generation-owned: it must
-  /// already be invalidated/prepared for exactly this backend list.
+  /// already be invalidated, and is prepared here for exactly this backend
+  /// list (the eager per-pool build — maglev's table fill — on the
+  /// control thread, before any reader can see the generation).
   PoolGeneration(std::uint64_t seq, std::uint64_t program_version,
                  std::vector<GenBackend> backends,
                  std::unique_ptr<Policy> policy)
@@ -103,12 +105,12 @@ class PoolGeneration {
       index_by_addr_[backends_[i].addr.value()] = i;  // duplicates: last wins
       views_.push_back(backends_[i].view());
     }
+    policy_->prepare(views_);
     policy_uses_conns_ = policy_->uses_connection_counts();
     policy_caches_picks_ = policy_->pick_is_tuple_deterministic();
     policy_weighted_ = policy_->weighted();
-    // The pointer is stable even though the table's *contents* are filled
-    // later (prepare() runs before publication); null for policies with
-    // no maglev table.
+    // Read after prepare(): a shared-table policy picks its snapshot there.
+    // Null for policies with no maglev table.
     table_ = policy_->maglev_table();
     checksum_ = compute_checksum();
     live_count_ref().fetch_add(1, std::memory_order_relaxed);

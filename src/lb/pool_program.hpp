@@ -73,9 +73,12 @@ struct PoolProgram {
 
 /// Anything that can serve a pool programmed this way: a MUX, an
 /// ECMP-sharded MUX pool, a DNS traffic manager, a recording sink, or the
-/// LbController decorator that adds the programming delay. This replaces
-/// the imperative WeightInterface (program_weights / set_backend_enabled /
-/// add_backend / remove_backend) wholesale.
+/// LbController decorator that adds the programming delay. It is the one
+/// way to reweight a pool or remove a backend from it: the MUX keeps no
+/// weight, enable or removal knob beside it. Outside a program, only the
+/// dataplane itself changes a pool — an abrupt failure it observes
+/// (fail_backend), a drain it completes — plus Mux::add_backend, which
+/// stays because it alone hands the power-of-two policy its DipServer.
 class PoolProgrammer {
  public:
   virtual ~PoolProgrammer() = default;

@@ -298,12 +298,7 @@ bool Testbed::fail_dip(std::size_t i) {
   if (pool_) {
     pool_->fail_backend(addr);
   } else {
-    for (std::size_t k = 0; k < mux_->backend_count(); ++k) {
-      if (mux_->backend_addr(k) == addr) {
-        mux_->fail_backend(k);
-        break;
-      }
-    }
+    mux_->fail_backend(addr);
   }
   // Ops-feed report: faster than waiting for a §4.5 probe blackout.
   if (controller_) {

@@ -394,7 +394,7 @@ TEST(MuxFlowTable, CachedPickNeverResurrectsFailedBackend) {
   mux.on_message(f.fin(port));
 
   // Kill a. The reconnect must NOT follow the cached pick into the corpse.
-  ASSERT_TRUE(mux.fail_backend(0));
+  ASSERT_TRUE(mux.fail_backend(f.a));
   ASSERT_EQ(mux.backend_count(), 1u);
   const auto conns_b = mux.new_connections(0);  // b is index 0 now
   mux.on_message(f.request(port));

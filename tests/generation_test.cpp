@@ -1,11 +1,12 @@
-// Pool-generation publication tests (ISSUE 6, ROADMAP item 1): the
-// EpochDomain reclamation primitive in isolation, the Mux's generation
-// lifecycle counters through control-plane mutations, the draining
-// enable-refusal warn path, and the two concurrency contracts the
-// RCU-style scheme must keep under a racing packet path — enable/weight
-// flips from one thread while another drives picks (no torn generation
-// ever observable), and MuxPool::fail_backend condemnation under a
-// concurrent reader (conservation + stale re-admission refusal).
+// Pool-generation publication tests: the EpochDomain reclamation
+// primitive in isolation, the Mux's generation lifecycle counters through
+// control-plane mutations, and the concurrency contracts the RCU-style
+// scheme must keep under a racing packet path — park/reweight programs
+// from one thread while another drives picks (no torn generation ever
+// observable), and pool-wide removals under a concurrent reader: a
+// MuxPool::fail_backend condemnation (conservation + stale re-admission
+// refusal) and programs that omit or remove a DIP (no pick refused while
+// the removal commits).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -150,18 +151,25 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
     mux.apply_program(equal_program(1, 4));
     EXPECT_EQ(mux.generations_published(), 2u);
 
+    // Each mutation publishes exactly one generation.
     auto bump = [&mux](auto&& op) {
       const auto before = mux.generations_published();
       op();
-      EXPECT_GT(mux.generations_published(), before);
+      EXPECT_EQ(mux.generations_published(), before + 1);
     };
     bump([&] { mux.add_backend(dip_addr(9)); });
-    bump([&] {
-      std::vector<std::int64_t> units(mux.backend_count(), 100);
-      EXPECT_TRUE(mux.set_weight_units(units));
-    });
-    bump([&] { EXPECT_TRUE(mux.set_backend_enabled(0, false)); });
-    bump([&] { EXPECT_TRUE(mux.set_backend_enabled(0, true)); });
+    std::uint64_t version = 1;
+    auto program = [&](std::int64_t first_units) {
+      PoolProgram p(++version);
+      p.add(dip_addr(0), first_units);
+      for (std::size_t d = 1; d < 4; ++d) p.add(dip_addr(d), 100);
+      p.add(dip_addr(9), 100);
+      mux.apply_program(p);
+    };
+    bump([&] { program(100); });
+    bump([&] { program(0); });  // park
+    bump([&] { program(100); });
+    bump([&] { EXPECT_TRUE(mux.fail_backend(dip_addr(9))); });
 
     // Quiesced: one poll reclaims everything but the current generation.
     mux.poll();
@@ -175,54 +183,14 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
   EXPECT_EQ(PoolGeneration::live_count(), live0);
 }
 
-TEST(GenerationTest, EnablingADrainingBackendIsRefused) {
-  sim::Simulation sim(5);
-  net::Network net(sim);
-  net.set_blackhole(true);
-  Mux mux(net, {10, 0, 0, 1}, make_policy("maglev"));
-  mux.apply_program(equal_program(1, 2));
-
-  // Pin one flow so the drain cannot auto-complete in the transaction.
-  mux.on_message(request(1, 1000));
-  std::size_t pinned = 0;
-  for (std::size_t i = 0; i < mux.backend_count(); ++i)
-    if (mux.active_connections(i) > 0) pinned = i;
-  const auto pinned_addr = mux.backend_addr(pinned);
-  const auto other_addr = mux.backend_addr(1 - pinned);
-
-  PoolProgram drain(2);
-  drain.add(other_addr, static_cast<std::int64_t>(util::kWeightScale));
-  drain.add(pinned_addr, 0, BackendState::kDraining);
-  mux.apply_program(drain);
-  ASSERT_EQ(mux.backend_count(), 2u);
-  ASSERT_EQ(mux.draining_count(), 1u);
-
-  std::size_t drain_idx = mux.backend_draining(0) ? 0 : 1;
-  const auto published_before = mux.generations_published();
-  // Un-parking a drainer would let it accept new connections while still
-  // promising auto-removal on empty — refused, nothing published.
-  EXPECT_FALSE(mux.set_backend_enabled(drain_idx, true));
-  EXPECT_TRUE(mux.backend_draining(drain_idx));
-  EXPECT_EQ(mux.generations_published(), published_before);
-  // Out-of-range is loud-but-safe, same as remove_backend.
-  EXPECT_FALSE(mux.set_backend_enabled(99, true));
-  EXPECT_FALSE(mux.set_backend_enabled(99, false));
-
-  // The FIN empties the drainer; single-threaded callers complete the
-  // removal inline (the opportunistic try_lock always succeeds here).
-  mux.on_message(fin(1, 1000));
-  EXPECT_EQ(mux.backend_count(), 1u);
-  EXPECT_EQ(mux.drains_completed(), 1u);
-  EXPECT_EQ(mux.backend_addr(0).value(), other_addr.value());
-}
-
-// One thread drives picks while another flips enable bits and shuffles
-// weights; a third keeps pinning the current generation and verifying its
-// structural checksum. Any torn publication (a reader observing a
-// half-built generation, or dereferencing a reclaimed one) fails the
-// checksum or trips the conservation counters. Runs on a single core too —
-// preemption still interleaves the threads.
-TEST(GenerationTest, ConcurrentFlagFlipsNeverTearAGeneration) {
+// One thread drives picks while another commits programs that park one
+// backend at weight 0 and shuffle the others' weights; a third keeps
+// pinning the current generation and verifying its structural checksum.
+// Any torn publication (a reader observing a half-built generation, or
+// dereferencing a reclaimed one) fails the checksum or trips the
+// conservation counters. Runs on a single core too — preemption still
+// interleaves the threads.
+TEST(GenerationTest, ConcurrentProgramsNeverTearAGeneration) {
   constexpr std::size_t kDips = 8;
   constexpr std::uint64_t kFlows = 200;
   constexpr std::uint64_t kReqPerFlow = 3;
@@ -263,18 +231,27 @@ TEST(GenerationTest, ConcurrentFlagFlipsNeverTearAGeneration) {
   });
 
   // Control plane: park/unpark one backend at a time (never more than one
-  // disabled, so picks always succeed) and shuffle weights in between.
+  // parked, so picks always succeed) and shuffle weights in between.
+  std::vector<std::int64_t> units(
+      kDips, static_cast<std::int64_t>(util::kWeightScale / kDips));
+  std::uint64_t version = 1;
+  auto commit = [&](std::size_t parked) {
+    PoolProgram p(++version);
+    for (std::size_t d = 0; d < kDips; ++d)
+      p.add(dip_addr(d), d == parked ? 0 : units[d]);
+    mux.apply_program(p);
+  };
   for (int k = 0; k < 400; ++k) {
     const auto i = static_cast<std::size_t>(k) % kDips;
-    EXPECT_TRUE(mux.set_backend_enabled(i, false));
+    commit(i);
     if (k % 5 == 0) {
-      std::vector<std::int64_t> units(kDips);
       for (std::size_t d = 0; d < kDips; ++d)
         units[d] = 64 + static_cast<std::int64_t>((d + k) % 7) * 8;
-      EXPECT_TRUE(mux.set_weight_units(units));
+      commit(i);
     }
-    EXPECT_TRUE(mux.set_backend_enabled(i, true));
+    commit(kDips);
   }
+  EXPECT_EQ(mux.superseded_programs(), 0u);
   stop.store(true, std::memory_order_release);
   traffic.join();
   checker.join();
@@ -361,6 +338,67 @@ TEST(GenerationTest, PoolFailBackendUnderConcurrentReader) {
   PoolProgram fresh = equal_program(pool.issue_version(), kDips);
   pool.apply_program(fresh);
   EXPECT_EQ(pool.backend_count(), kDips);
+}
+
+// Programs that take a DIP out of the pool — by omission, then by an
+// explicit kRemoved entry — commit while a reader sprays the VIP. Each
+// member publishes the shrunken membership together with the table built
+// from it, so no pick ever lands on the departed DIP's slot and is
+// refused: the same window fail_backend has, reached through programs.
+TEST(GenerationTest, PoolRemovalProgramUnderConcurrentReader) {
+  constexpr std::size_t kDips = 8;
+  sim::Simulation sim(5);
+  net::Network net(sim);
+  net.set_blackhole(true);
+  MuxPool pool(net, {10, 0, 0, 1}, 2, 251);
+  pool.apply_program(equal_program(pool.issue_version(), kDips));
+  ASSERT_EQ(pool.backend_count(), kDips);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> sent{0};
+  std::thread reader([&] {
+    std::uint64_t round = 0;
+    do {
+      for (std::uint32_t f = 0; f < 300; ++f) {
+        pool.on_message(request(f, 3000));
+        pool.on_message(fin(f, 3000));
+      }
+      sent.fetch_add(300, std::memory_order_relaxed);
+      ++round;
+    } while (!stop.load(std::memory_order_acquire) || round < 2);
+  });
+
+  const auto units = static_cast<std::int64_t>(util::kWeightScale / kDips);
+  for (std::size_t r = 0; r < kDips / 2; ++r) {
+    const std::size_t omitted = r, removed = r + kDips / 2;
+    PoolProgram omit(pool.issue_version());
+    for (std::size_t d = 0; d < kDips; ++d)
+      if (d != omitted) omit.add(dip_addr(d), units);
+    pool.apply_program(omit);
+    EXPECT_EQ(pool.backend_count(), kDips - 1);
+
+    PoolProgram remove(pool.issue_version());
+    for (std::size_t d = 0; d < kDips; ++d) {
+      if (d == omitted) continue;
+      remove.add(dip_addr(d), units,
+                 d == removed ? BackendState::kRemoved : BackendState::kActive);
+    }
+    pool.apply_program(remove);
+    EXPECT_EQ(pool.backend_count(), kDips - 2);
+
+    pool.apply_program(equal_program(pool.issue_version(), kDips));
+    EXPECT_EQ(pool.backend_count(), kDips);
+  }
+
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  pool.poll();
+
+  EXPECT_EQ(pool.total_forwarded() + pool.no_backend_drops(), sent.load());
+  EXPECT_EQ(pool.no_backend_drops(), 0u);
+  EXPECT_EQ(pool.affinity_size(), 0u);
+  EXPECT_EQ(pool.pending_retired_generations(), 0u);
+  EXPECT_EQ(pool.table_snapshot(0).get(), pool.table_snapshot(1).get());
 }
 
 }  // namespace

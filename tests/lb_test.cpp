@@ -253,7 +253,10 @@ TEST(Mux, WeightsSteerNewConnections) {
   Mux mux(f.net, f.vip, make_policy("wrr"));
   mux.add_backend(net::IpAddr{10, 1, 0, 1});
   mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.set_weight_units({9 * util::kWeightScale / 10, util::kWeightScale / 10});
+  PoolProgram p(mux.issue_version());
+  p.add(net::IpAddr{10, 1, 0, 1}, 9 * util::kWeightScale / 10)
+      .add(net::IpAddr{10, 1, 0, 2}, util::kWeightScale / 10);
+  mux.apply_program(p);
 
   for (std::uint16_t p = 0; p < 100; ++p)
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(2000 + p),
@@ -263,12 +266,17 @@ TEST(Mux, WeightsSteerNewConnections) {
   EXPECT_EQ(f.dip2.messages.size(), 10u);
 }
 
-TEST(Mux, DisabledBackendGetsNothingNew) {
+// A backend programmed kActive at weight 0 is parked: it keeps its place
+// in the pool but takes no new connections.
+TEST(Mux, ParkedBackendGetsNothingNew) {
   MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("rr"));
+  Mux mux(f.net, f.vip, make_policy("wrr"));
   mux.add_backend(net::IpAddr{10, 1, 0, 1});
   mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.set_backend_enabled(0, false);
+  PoolProgram p(mux.issue_version());
+  p.add(net::IpAddr{10, 1, 0, 1}, 0)
+      .add(net::IpAddr{10, 1, 0, 2}, util::kWeightScale);
+  mux.apply_program(p);
   for (std::uint16_t p = 0; p < 10; ++p)
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(3000 + p),
                                 static_cast<std::uint64_t>(p + 1), 1));
@@ -281,6 +289,15 @@ std::int64_t sum_units(const std::vector<std::int64_t>& units) {
   return std::accumulate(units.begin(), units.end(), std::int64_t{0});
 }
 
+/// Reweight backends 10.1.0.1, 10.1.0.2, ... (registration order) to
+/// `units` in one transaction.
+void program_units(Mux& mux, const std::vector<std::int64_t>& units) {
+  PoolProgram p(mux.issue_version());
+  for (std::size_t i = 0; i < units.size(); ++i)
+    p.add(net::IpAddr(0x0a010001 + static_cast<std::uint32_t>(i)), units[i]);
+  mux.apply_program(p);
+}
+
 // Regression (ISSUE 2): adding a DIP used to reset *every* backend to an
 // equal integer split, wiping controller-programmed weights and leaking the
 // kWeightScale % n remainder. Now the pool rescales: newcomer at a fair
@@ -291,7 +308,7 @@ TEST(Mux, AddBackendPreservesProgrammedWeights) {
   mux.add_backend(net::IpAddr{10, 1, 0, 1});
   mux.add_backend(net::IpAddr{10, 1, 0, 2});
   mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  ASSERT_TRUE(mux.set_weight_units({5000, 3000, 2000}));
+  program_units(mux, {5000, 3000, 2000});
 
   mux.add_backend(net::IpAddr{10, 1, 0, 4});
   const auto units = mux.weight_units();
@@ -311,57 +328,66 @@ TEST(Mux, AddBackendSpreadsEqualSplitRemainder) {
   EXPECT_EQ(sum_units(mux.weight_units()), util::kWeightScale);
 }
 
-// Regression (ISSUE 2): a weight vector sized for a different pool used to
-// be silently prefix-applied; a controller racing a membership change could
-// half-program the pool. It is now rejected loudly.
-TEST(Mux, SetWeightUnitsRejectsSizeMismatch) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  const auto before = mux.weight_units();
-
-  EXPECT_FALSE(mux.set_weight_units({9000}));          // too short
-  EXPECT_FALSE(mux.set_weight_units({1, 2, 3}));       // too long
-  EXPECT_EQ(mux.weight_units(), before);
-  EXPECT_EQ(mux.rejected_programmings(), 2u);
-}
-
-TEST(Mux, RemoveDrainedBackendLeavesSurvivorsUntouched) {
+// A failure rescales the survivors back to kWeightScale: unchanged when
+// the dead backend was already weighted to 0...
+TEST(Mux, FailDrainedBackendLeavesSurvivorsUntouched) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));
   mux.add_backend(net::IpAddr{10, 1, 0, 1});
   mux.add_backend(net::IpAddr{10, 1, 0, 2});
   mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  // Controller-style scale-in: drain the leaver to 0 first, then remove.
-  ASSERT_TRUE(mux.set_weight_units({4000, 0, 6000}));
-  ASSERT_TRUE(mux.remove_backend(1));
+  program_units(mux, {4000, 0, 6000});
+  ASSERT_TRUE(mux.fail_backend(net::IpAddr{10, 1, 0, 2}));
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{4000, 6000}));
 }
 
-TEST(Mux, RemoveBackendKeepsParkedPoolParked) {
+// ...a pool the controller parked except the dead backend stays parked
+// (no equal-split fallback resurrects the others)...
+TEST(Mux, FailBackendKeepsParkedPoolParked) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));
   mux.add_backend(net::IpAddr{10, 1, 0, 1});
   mux.add_backend(net::IpAddr{10, 1, 0, 2});
   mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  // The controller parked the pool except one backend; removing that
-  // backend must not resurrect the others via an equal-split fallback.
-  ASSERT_TRUE(mux.set_weight_units({0, 0, util::kWeightScale}));
-  ASSERT_TRUE(mux.remove_backend(2));
+  program_units(mux, {0, 0, util::kWeightScale});
+  ASSERT_TRUE(mux.fail_backend(net::IpAddr{10, 1, 0, 3}));
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{0, 0}));
 }
 
-TEST(Mux, RemoveLoadedBackendRescalesToFullScale) {
+// ...and a loaded one's share is spread over the survivors pro rata.
+TEST(Mux, FailLoadedBackendRescalesToFullScale) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));
   mux.add_backend(net::IpAddr{10, 1, 0, 1});
   mux.add_backend(net::IpAddr{10, 1, 0, 2});
   mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  ASSERT_TRUE(mux.set_weight_units({6000, 2000, 2000}));
-  ASSERT_TRUE(mux.remove_backend(0));
+  program_units(mux, {6000, 2000, 2000});
+  ASSERT_TRUE(mux.fail_backend(net::IpAddr{10, 1, 0, 1}));
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{5000, 5000}));
-  EXPECT_FALSE(mux.remove_backend(7));  // out of range
+}
+
+// fail_backend names the dead DIP by address, resolved under the control
+// lock: exactly that backend goes, an unknown address is refused, and
+// the survivors keep their stable ids.
+TEST(Mux, FailBackendByAddress) {
+  MuxFixture f;
+  Mux mux(f.net, f.vip, make_policy("wrr"));
+  const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2}, c{10, 1, 0, 3};
+  const auto id_a = mux.add_backend(a);
+  const auto id_b = mux.add_backend(b);
+  const auto id_c = mux.add_backend(c);
+
+  EXPECT_FALSE(mux.fail_backend(net::IpAddr{10, 1, 0, 9}));
+  ASSERT_EQ(mux.backend_count(), 3u);
+
+  ASSERT_TRUE(mux.fail_backend(b));
+  ASSERT_EQ(mux.backend_count(), 2u);
+  EXPECT_EQ(mux.backend_addr(0), a);
+  EXPECT_EQ(mux.backend_addr(1), c);
+  EXPECT_EQ(mux.backend_id(0), id_a);
+  EXPECT_EQ(mux.backend_id(1), id_c);
+  EXPECT_FALSE(mux.index_of_id(id_b).has_value());
+  EXPECT_FALSE(mux.fail_backend(b));  // already gone
 }
 
 // --- transactional programming (PoolProgram) --------------------------------
@@ -387,7 +413,7 @@ TEST(PoolProgram, PreFailureProgramCannotResurrectFailedBackend) {
   PoolProgram v2(mux.issue_version());
   v2.add(a, 4000).add(b, 6000);
   // ...then the dataplane observes a's death before v2 commits.
-  ASSERT_TRUE(mux.fail_backend(0));
+  ASSERT_TRUE(mux.fail_backend(a));
   ASSERT_EQ(mux.backend_count(), 1u);
 
   mux.apply_program(v2);  // late commit of the pre-failure view
@@ -449,7 +475,6 @@ TEST(PoolProgram, StaleVersionDiscardedAcrossMembershipChange) {
   EXPECT_EQ(mux.superseded_programs(), 1u);
   EXPECT_EQ(mux.backend_count(), 2u);  // c not resurrected
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{6000, 4000}));
-  EXPECT_EQ(mux.rejected_programmings(), 0u);  // nothing partial to reject
 }
 
 // A backend the program omits is removed; one listed anew is admitted —
@@ -498,7 +523,6 @@ TEST(LbController, ChurnAndWeightsCannotRace) {
   f.sim.run_all();
   EXPECT_EQ(mux.backend_count(), 3u);
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{5000, 3000, 2000}));
-  EXPECT_EQ(mux.rejected_programmings(), 0u);
   EXPECT_EQ(mux.superseded_programs(), 0u);  // in-order: nothing discarded
   EXPECT_EQ(sum_units(mux.weight_units()), util::kWeightScale);
 }
@@ -580,58 +604,6 @@ TEST(Mux, DrainLifecycleEdges) {
   EXPECT_FALSE(mux.backend_draining(0));
   EXPECT_TRUE(mux.backend_enabled(0));
   EXPECT_EQ(mux.weight_units()[0], util::kWeightScale);
-}
-
-// Regression (ISSUE 5): set_backend_enabled(i, true) used to silently
-// re-enable a draining backend, leaving `draining && enabled` — the
-// drainer kept accepting new connections, so its affinity never emptied
-// and the promised auto-removal never completed. It is now refused.
-TEST(Mux, EnablingDrainingBackendIsRefused) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2};
-  PoolProgram v1(1);
-  v1.add(a, 5000).add(b, 5000);
-  mux.apply_program(v1);
-
-  // Pin flows, then drain a.
-  for (std::uint16_t p = 0; p < 16; ++p)
-    f.net.send(f.vip, f.request(static_cast<std::uint16_t>(1000 + p), p, 1));
-  f.sim.run_all();
-  ASSERT_GT(mux.active_connections(0), 0u);
-  PoolProgram v2(2);
-  v2.add(a, 0, BackendState::kDraining).add(b, util::kWeightScale);
-  mux.apply_program(v2);
-  ASSERT_TRUE(mux.backend_draining(0));
-
-  EXPECT_FALSE(mux.set_backend_enabled(0, true));
-  EXPECT_TRUE(mux.backend_draining(0));   // still condemned
-  EXPECT_FALSE(mux.backend_enabled(0));   // still parked
-
-  // New connections still avoid the drainer...
-  const auto conns_a = mux.new_connections(0);
-  for (std::uint16_t p = 0; p < 10; ++p)
-    f.net.send(f.vip, f.request(static_cast<std::uint16_t>(3000 + p),
-                                static_cast<std::uint64_t>(100 + p), 1));
-  f.sim.run_all();
-  EXPECT_EQ(mux.new_connections(0), conns_a);
-
-  // ...and the drain still auto-completes on the last FIN.
-  for (std::uint16_t p = 0; p < 16; ++p) {
-    net::Message fin;
-    fin.type = net::MsgType::kFin;
-    fin.tuple = tuple_with_port(static_cast<std::uint16_t>(1000 + p));
-    f.net.send(f.vip, fin);
-  }
-  f.sim.run_all();
-  EXPECT_EQ(mux.backend_count(), 1u);
-  EXPECT_EQ(mux.drains_completed(), 1u);
-  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);
-
-  // The maintenance knob still works on healthy backends, loudly bounded.
-  EXPECT_TRUE(mux.set_backend_enabled(0, false));
-  EXPECT_TRUE(mux.set_backend_enabled(0, true));
-  EXPECT_FALSE(mux.set_backend_enabled(7, true));  // out of range
 }
 
 // Regression (ISSUE 5): smooth-WRR credits are index-keyed, and only a
@@ -758,7 +730,6 @@ TEST(Mux, OutOfRangeAccessorsAreSafe) {
   EXPECT_EQ(mux.forwarded_requests(5), 0u);
   EXPECT_EQ(mux.new_connections(5), 0u);
   EXPECT_EQ(mux.active_connections(5), 0u);
-  EXPECT_FALSE(mux.remove_backend(5));
 }
 
 // Regression (ISSUE 2): DrainEstimator::finish restored kWeightScale / n

@@ -11,6 +11,7 @@
 #include "lb/lb_controller.hpp"
 #include "lb/maglev.hpp"
 #include "lb/mux.hpp"
+#include "lb/pool_program.hpp"
 #include "testbed/fleet.hpp"
 #include "util/weight.hpp"
 
@@ -240,7 +241,11 @@ TEST(MuxChurn, StableIdsSurviveRemoval) {
   const auto id3 = mux.add_backend(net::IpAddr{10, 1, 0, 3});
   EXPECT_NE(id1, id2);
 
-  ASSERT_TRUE(mux.remove_backend(0));
+  PoolProgram p(mux.issue_version());
+  p.add(net::IpAddr{10, 1, 0, 1}, 0, BackendState::kRemoved)
+      .add(net::IpAddr{10, 1, 0, 2}, 5000)
+      .add(net::IpAddr{10, 1, 0, 3}, 5000);
+  mux.apply_program(p);
   // Indices shifted, ids did not.
   EXPECT_EQ(mux.index_of_id(id2), std::optional<std::size_t>{0});
   EXPECT_EQ(mux.index_of_id(id3), std::optional<std::size_t>{1});
@@ -260,7 +265,10 @@ TEST(MuxChurn, RemoveBackendDropsItsAffinityOnly) {
   const auto conns_kept = mux.active_connections(1);
   ASSERT_GT(conns_kept, 0u);
 
-  ASSERT_TRUE(mux.remove_backend(0));
+  PoolProgram p(mux.issue_version());
+  p.add(net::IpAddr{10, 1, 0, 1}, 0, BackendState::kRemoved)
+      .add(net::IpAddr{10, 1, 0, 2}, util::kWeightScale);
+  mux.apply_program(p);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
   EXPECT_EQ(mux.affinity_size(), conns_kept);
   EXPECT_EQ(mux.active_connections(0), conns_kept);  // survivor, new index
@@ -278,7 +286,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   const auto on_failed = mux.active_connections(0);
   ASSERT_GT(on_failed, 0u);
 
-  ASSERT_TRUE(mux.fail_backend(0));
+  ASSERT_TRUE(mux.fail_backend(net::IpAddr{10, 1, 0, 1}));
   EXPECT_EQ(mux.flows_reset_by_failure(), on_failed);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 
@@ -322,10 +330,16 @@ TEST(MuxChurn, WeightsSteerAfterChurnWithMaglev) {
   mux.add_backend(net::IpAddr{10, 1, 0, 1});
   mux.add_backend(net::IpAddr{10, 1, 0, 2});
   mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  ASSERT_TRUE(mux.set_weight_units({5000, 3000, 2000}));
-  ASSERT_TRUE(mux.remove_backend(2));
+  PoolProgram v1(mux.issue_version());
+  v1.add(net::IpAddr{10, 1, 0, 1}, 5000)
+      .add(net::IpAddr{10, 1, 0, 2}, 3000)
+      .add(net::IpAddr{10, 1, 0, 3}, 2000);
+  mux.apply_program(v1);
+  PoolProgram v2(mux.issue_version());  // scale-in: the third DIP leaves
+  v2.add(net::IpAddr{10, 1, 0, 1}, 6250).add(net::IpAddr{10, 1, 0, 2}, 3750);
+  mux.apply_program(v2);
 
-  // Survivors rescaled 5:3; new flows follow the maglev table.
+  // Survivors weighted 5:3; new flows follow the maglev table.
   const auto units = mux.weight_units();
   EXPECT_EQ(sum_units(units), util::kWeightScale);
   for (std::uint32_t c = 0; c < 4000; ++c)

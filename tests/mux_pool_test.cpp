@@ -1,10 +1,14 @@
 // MuxPool tests: ECMP sharding over one VIP, the single-shared-maglev-build
 // invariant (pointer-equal snapshots, identical program versions on every
-// member), minimal flow remap across the pool under DIP churn, and the
-// graceful-drain vs abrupt-failure lifecycle end to end.
+// member, one generation and one build per commit), minimal flow remap
+// across the pool under DIP churn, the graceful-drain vs abrupt-failure
+// lifecycle end to end, and batched ECMP dispatch under concurrent
+// commits.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -105,6 +109,79 @@ TEST(MuxPool, SharedSnapshotPointerEqualAcrossMuxes) {
   EXPECT_NE(snap2, snap1);
   for (std::size_t k = 0; k < pool.mux_count(); ++k)
     EXPECT_EQ(pool.table_snapshot(k), snap2);
+}
+
+// One commit is one generation per member and one table build pool-wide,
+// for programs and failures alike: each member publishes its new
+// membership and the table built from it together, never in two steps.
+TEST(MuxPool, EachCommitPublishesOneGenerationPerMemberAndOneBuild) {
+  PoolFixture f;
+  MuxPool pool(f.net, f.vip, 3);
+  const auto dips = PoolFixture::dip_addrs(6);
+  pool.apply_program(PoolFixture::equal_program(pool.issue_version(), dips));
+
+  auto published = [&pool] {
+    std::vector<std::uint64_t> out;
+    for (std::size_t k = 0; k < pool.mux_count(); ++k)
+      out.push_back(pool.mux(k).generations_published());
+    return out;
+  };
+  auto expect_one_commit = [&](const std::vector<std::uint64_t>& before,
+                               std::uint64_t builds_before) {
+    const auto after = published();
+    for (std::size_t k = 0; k < pool.mux_count(); ++k)
+      EXPECT_EQ(after[k], before[k] + 1) << "mux " << k;
+    EXPECT_EQ(pool.shared_builds(), builds_before + 1);
+    for (std::size_t k = 1; k < pool.mux_count(); ++k)
+      EXPECT_EQ(pool.table_snapshot(k), pool.table_snapshot(0));
+  };
+
+  auto before = published();
+  auto builds = pool.shared_builds();
+  PoolProgram reweight = PoolFixture::equal_program(pool.issue_version(), dips);
+  reweight.entries[0].weight_units += 500;
+  reweight.entries[1].weight_units -= 500;
+  pool.apply_program(reweight);
+  expect_one_commit(before, builds);
+
+  before = published();
+  builds = pool.shared_builds();
+  EXPECT_TRUE(pool.fail_backend(dips[2]));
+  expect_one_commit(before, builds);
+  for (std::size_t k = 0; k < pool.mux_count(); ++k)
+    EXPECT_EQ(pool.mux(k).backend_count(), dips.size() - 1);
+}
+
+// A drain completes on one member (no pinned flows there) while another
+// still serves it; cancelling the drain then re-lists the DIP at its old
+// position on the second member but as a newcomer at the end on the
+// first. The members' entry orders differ, yet the commit still costs
+// one build and the members keep one pointer-equal table.
+TEST(MuxPool, CancelledDrainKeepsOneSharedTable) {
+  PoolFixture f;
+  f.net.set_blackhole(true);
+  MuxPool pool(f.net, f.vip, 2);
+  const auto dips = PoolFixture::dip_addrs(4);
+  pool.apply_program(PoolFixture::equal_program(pool.issue_version(), dips));
+
+  // Pin flows on member 0 only, until one of them lands on dips[0].
+  for (std::uint32_t c = 0; pool.new_connections_to(dips[0]) == 0; ++c) {
+    ASSERT_LT(c, 10000u);
+    if (pool.shard_of(flow(c, 443)) == 0) pool.on_message(f.request(c, 443));
+  }
+  PoolProgram drain(pool.issue_version());
+  drain.add(dips[0], 0, BackendState::kDraining);
+  for (std::size_t i = 1; i < dips.size(); ++i) drain.add(dips[i], 3000);
+  pool.apply_program(drain);
+  ASSERT_EQ(pool.mux(0).draining_count(), 1u);
+  ASSERT_EQ(pool.mux(1).backend_count(), dips.size() - 1);  // completed
+
+  const auto builds = pool.shared_builds();
+  pool.apply_program(PoolFixture::equal_program(pool.issue_version(), dips));
+  EXPECT_EQ(pool.mux(0).backend_addr(0), dips[0]);
+  EXPECT_EQ(pool.mux(1).backend_addr(dips.size() - 1), dips[0]);
+  EXPECT_EQ(pool.shared_builds(), builds + 1);
+  EXPECT_EQ(pool.table_snapshot(1), pool.table_snapshot(0));
 }
 
 // A stale transaction is discarded pool-wide: no member applies it, no
@@ -335,6 +412,66 @@ TEST(MuxPool, LbControllerProgramsWholePool) {
     EXPECT_EQ(pool.mux(k).weight_units(),
               (std::vector<std::int64_t>{5000, 3000, 2000}));
   EXPECT_EQ(pool.applied_version(), p.version);
+}
+
+// Bursts through the batched ECMP dispatch (both under and over the
+// partition's 64-message stack scratch) race commits that reweight the
+// pool, park a DIP at weight 0 and fail another: every request is
+// forwarded, none refused, and the members still share one snapshot.
+TEST(MuxPool, BatchedTrafficUnderConcurrentCommits) {
+  PoolFixture f;
+  f.net.set_blackhole(true);
+  MuxPool pool(f.net, f.vip, 3, 251);
+  const auto dips = PoolFixture::dip_addrs(8);
+  pool.apply_program(PoolFixture::equal_program(pool.issue_version(), dips));
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> sent{0};
+  std::thread reader([&] {
+    constexpr std::uint32_t kFlows = 96;
+    std::vector<net::Message> reqs, fins;
+    for (std::uint32_t c = 0; c < kFlows; ++c) {
+      reqs.push_back(f.request(c, 5000));
+      fins.push_back(f.fin(c, 5000));
+    }
+    std::vector<const net::Message*> req_ptrs, fin_ptrs;
+    for (std::uint32_t c = 0; c < kFlows; ++c) {
+      req_ptrs.push_back(&reqs[c]);
+      fin_ptrs.push_back(&fins[c]);
+    }
+    std::uint64_t round = 0;
+    do {
+      // Alternate a 32-message burst pair with the full 96-message one.
+      const std::size_t n = round % 2 == 0 ? 32 : kFlows;
+      pool.on_batch(req_ptrs.data(), n);
+      pool.on_batch(fin_ptrs.data(), n);
+      sent.fetch_add(n, std::memory_order_relaxed);
+      ++round;
+    } while (!stop.load(std::memory_order_acquire) || round < 4);
+  });
+
+  const auto units = util::normalize_to_units(
+      std::vector<double>(dips.size(), 1.0));
+  for (std::size_t r = 0; r < 50; ++r) {
+    PoolProgram p(pool.issue_version());
+    for (std::size_t i = 0; i < dips.size(); ++i)
+      p.add(dips[i], i == r % dips.size() ? 0 : units[i] + 8 * ((i + r) % 5));
+    pool.apply_program(p);
+  }
+  EXPECT_TRUE(pool.fail_backend(dips[3]));
+  for (std::size_t k = 1; k < pool.mux_count(); ++k)
+    EXPECT_EQ(pool.table_snapshot(k), pool.table_snapshot(0));
+
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  pool.poll();
+
+  EXPECT_EQ(pool.total_forwarded(), sent.load());
+  EXPECT_EQ(pool.no_backend_drops(), 0u);
+  EXPECT_EQ(pool.affinity_size(), 0u);
+  EXPECT_EQ(pool.pending_retired_generations(), 0u);
+  EXPECT_EQ(pool.generations_retired() + pool.mux_count(),
+            pool.generations_published());
 }
 
 }  // namespace
