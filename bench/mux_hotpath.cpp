@@ -1,14 +1,18 @@
-// Multi-threaded MUX hot-path bench (ISSUE 5 + ISSUE 6): drives the real
+// Multi-threaded MUX hot-path bench: drives the real
 // Mux::handle_request/handle_fin packet path from 1/2/4 worker threads and
-// reports picks/sec, comparing the sharded FlowTable (+ per-shard flow
-// cache) against the old monolithic single-map design (1 shard, no cache —
-// every packet behind one lock).
+// reports picks/sec, comparing the sharded FlowTable against the old
+// monolithic single-map design (1 shard — every packet behind one lock).
 //
 // Workload: each thread owns a disjoint flow space; per round, each flow
-// opens (policy pick / flow-cache pick), sends `requests_per_flow - 1`
-// pinned requests (affinity hits), and FINs. Rounds >= 2 make reconnecting
-// tuples exercise the flow cache. The fabric runs in blackhole mode (the
-// event queue is single-threaded).
+// opens (policy pick), sends `requests_per_flow - 1` pinned requests
+// (affinity hits), and FINs; every round reopens the same tuples. The
+// fabric runs in blackhole mode (the event queue is single-threaded).
+//
+// --batch sweeps handle_batch burst sizes through the real fabric. Each of
+// kBatchTrials trials runs every burst size once, batch=1 and batch=32
+// back to back; in --short mode the gate requires the median of the
+// per-trial batch=32/batch=1 ratios to be >= 2x (a single pair of
+// best-of values flips on scheduler noise).
 //
 // --churn additionally measures pool-generation publication under fire: a
 // committer thread applies full PoolPrograms (rotated weights, one backend
@@ -35,8 +39,9 @@
 // --json PATH writes every measured number as BENCH-style JSON (see
 // bench_common.hpp) for the CI perf trajectory.
 //
-// Usage: bench_mux_hotpath [--short] [--churn] [--json PATH]
+// Usage: bench_mux_hotpath [--short] [--batch] [--churn] [--json PATH]
 //                          [flows_per_thread] [requests_per_flow]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -76,17 +81,16 @@ klb::net::FiveTuple flow_tuple(unsigned thread, std::uint64_t flow) {
 
 struct RunResult {
   double rate = 0.0;  // handled requests (picks) per second, all threads
-  std::uint64_t cache_hits = 0;
   bool ok = true;
 };
 
-RunResult run_one(std::size_t shards, std::size_t cache_slots,
-                  unsigned threads, std::uint64_t flows,
+RunResult run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
                   std::uint64_t requests_per_flow, std::uint64_t rounds) {
   klb::sim::Simulation sim(7);
   klb::net::Network net(sim);
   net.set_blackhole(true);  // workers must not touch the event queue
-  klb::lb::FlowTableConfig flow_cfg{shards, cache_slots};
+  klb::lb::FlowTableConfig flow_cfg;
+  flow_cfg.shard_count = shards;
   // The drive's concurrent-flow peak is known up front; the hint
   // pre-reserves the shard maps so no timed round pays for a rehash.
   flow_cfg.expected_flows = static_cast<std::size_t>(threads) * flows;
@@ -129,7 +133,6 @@ RunResult run_one(std::size_t shards, std::size_t cache_slots,
   const auto expect_conns =
       static_cast<std::uint64_t>(threads) * flows * rounds;
   res.rate = dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
-  res.cache_hits = mux.flow_table().stats().cache_hits;
 
   // Counter conservation: with concurrent shards, any lost update or
   // leaked pin breaks one of these exactly.
@@ -161,20 +164,19 @@ RunResult run_one(std::size_t shards, std::size_t cache_slots,
   return res;
 }
 
-RunResult best_of(int reps, std::size_t shards, std::size_t cache_slots,
-                  unsigned threads, std::uint64_t flows,
-                  std::uint64_t requests_per_flow, std::uint64_t rounds) {
+RunResult best_of(int reps, std::size_t shards, unsigned threads,
+                  std::uint64_t flows, std::uint64_t requests_per_flow,
+                  std::uint64_t rounds) {
   RunResult best;
   for (int i = 0; i < reps; ++i) {
-    const auto r =
-        run_one(shards, cache_slots, threads, flows, requests_per_flow, rounds);
+    const auto r = run_one(shards, threads, flows, requests_per_flow, rounds);
     if (!r.ok) return r;
     if (r.rate > best.rate) best = r;
   }
   return best;
 }
 
-// --- batch phase (ISSUE 9): handle_batch amortization ------------------------
+// --- batch phase: handle_batch amortization ---------------------------------
 
 /// Terminates bench flows like a DIP would: counts deliveries.
 struct SinkNode final : klb::net::Node {
@@ -255,7 +257,6 @@ RunResult run_batch_one(std::size_t batch, std::uint64_t flows,
   const auto expect_requests = flows * requests_per_flow * rounds;
   const auto expect_conns = flows * rounds;
   res.rate = dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
-  res.cache_hits = mux.flow_table().stats().cache_hits;
 
   std::uint64_t conns = 0, active = 0, delivered = 0;
   for (std::size_t d = 0; d < kBatchDips; ++d) {
@@ -295,19 +296,14 @@ RunResult run_batch_one(std::size_t batch, std::uint64_t flows,
   return res;
 }
 
-RunResult best_of_batch(int reps, std::size_t batch, std::uint64_t flows,
-                        std::uint64_t requests_per_flow,
-                        std::uint64_t rounds) {
-  RunResult best;
-  for (int i = 0; i < reps; ++i) {
-    const auto r = run_batch_one(batch, flows, requests_per_flow, rounds);
-    if (!r.ok) return r;
-    if (r.rate > best.rate) best = r;
-  }
-  return best;
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const auto n = xs.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-// --- churn phase (ISSUE 6): commits racing the packet path -------------------
+// --- churn phase: commits racing the packet path -----------------------------
 
 struct ChurnResult {
   double rate = 0.0;              // picks/sec across all worker threads
@@ -509,7 +505,7 @@ int main(int argc, char** argv) {
   const int reps = short_mode ? 3 : 2;
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const klb::lb::FlowTableConfig sharded{};  // production default
+  const klb::lb::FlowTableConfig sharded;  // production default
   std::vector<unsigned> thread_counts{1, 2, 4};
   if (short_mode) {
     thread_counts = {1};
@@ -536,10 +532,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   double sharded_1t = 0.0, sharded_multi = 0.0;
   for (const auto t : thread_counts) {
-    const auto base =
-        best_of(reps, 1, 0, t, flows, requests_per_flow, rounds);
-    const auto shard = best_of(reps, sharded.shard_count,
-                               sharded.cache_slots_per_shard, t, flows,
+    const auto base = best_of(reps, 1, t, flows, requests_per_flow, rounds);
+    const auto shard = best_of(reps, sharded.shard_count, t, flows,
                                requests_per_flow, rounds);
     ok = ok && base.ok && shard.ok;
     if (t == 1) sharded_1t = shard.rate;
@@ -554,15 +548,14 @@ int main(int argc, char** argv) {
     json_stable.push(klb::bench::Json::object()
                          .set("threads", t)
                          .set("single_map_picks_per_sec", base.rate)
-                         .set("sharded_picks_per_sec", shard.rate)
-                         .set("cache_hits", shard.cache_hits));
+                         .set("sharded_picks_per_sec", shard.rate));
   }
   table.print();
-  std::cout << "\nAffinity hits and cached picks bypass the pick lock; only "
-               "fresh policy picks serialize.\n";
+  std::cout << "\nAffinity hits bypass the pick lock; only fresh policy "
+               "picks serialize.\n";
   json.set("stable", std::move(json_stable));
 
-  // --- batch phase (ISSUE 9): burst size sweep through handle_batch -------
+  // --- batch phase: burst size sweep through handle_batch -----------------
   bool batch_gate_fail = false;
   if (batch_mode) {
     // Single-threaded end-to-end sweep through the real fabric (the event
@@ -572,47 +565,77 @@ int main(int argc, char** argv) {
     // packet — and the gate is meaningful on any host, 1-core CI included.
     const auto batch_flows = std::min<std::uint64_t>(flows, 8'192);
     const std::vector<std::size_t> batch_sizes{1, 8, 32, 64};
+    // Run order within a trial: the gate's pair (batch=1, batch=32) back
+    // to back, so host drift hits both halves of a pair alike.
+    const std::vector<std::size_t> run_order{0, 2, 1, 3};
+    constexpr int kBatchTrials = 5;
     std::cout << "\n";
     klb::testbed::banner(
         "Batched packet path: handle_batch burst-size sweep through the "
         "fabric (" +
         std::to_string(batch_flows) + " flows, " +
-        std::to_string(requests_per_flow) + " req/flow, 16 DIPs)");
+        std::to_string(requests_per_flow) + " req/flow, 16 DIPs, median of " +
+        std::to_string(kBatchTrials) + " trials)");
+    std::vector<std::vector<double>> rates(batch_sizes.size());
+    for (int trial = 0; trial < kBatchTrials; ++trial) {
+      for (const auto k : run_order) {
+        const auto r = run_batch_one(batch_sizes[k], batch_flows,
+                                     requests_per_flow, rounds);
+        ok = ok && r.ok;
+        rates[k].push_back(r.rate);
+      }
+    }
+    const double rate1 = median(rates[0]);
     klb::testbed::Table batch_table({"batch", "pkts/s", "vs batch=1"});
     auto json_batch = klb::bench::Json::array();
-    double rate1 = 0.0, rate32 = 0.0;
-    for (const auto b : batch_sizes) {
-      const auto r =
-          best_of_batch(reps, b, batch_flows, requests_per_flow, rounds);
-      ok = ok && r.ok;
-      if (b == 1) rate1 = r.rate;
-      if (b == 32) rate32 = r.rate;
+    for (std::size_t k = 0; k < batch_sizes.size(); ++k) {
+      const double rate = median(rates[k]);
       batch_table.row(
-          {std::to_string(b), klb::testbed::fmt(r.rate / 1e6, 2) + "M",
-           klb::testbed::fmt(r.rate / std::max(1.0, rate1), 2) + "x"});
+          {std::to_string(batch_sizes[k]),
+           klb::testbed::fmt(rate / 1e6, 2) + "M",
+           klb::testbed::fmt(rate / std::max(1.0, rate1), 2) + "x"});
       json_batch.push(klb::bench::Json::object()
-                          .set("batch", b)
-                          .set("picks_per_sec", r.rate)
-                          .set("cache_hits", r.cache_hits));
+                          .set("batch", batch_sizes[k])
+                          .set("picks_per_sec", rate)
+                          .set("trials", rates[k].size()));
     }
     // The headline gate: a 32-packet burst must at least double scalar
     // throughput on the same packets, or the batch path has stopped
-    // amortizing.
-    if (short_mode && rate32 < 2.0 * rate1) {
-      std::cerr << "FAIL: batch=32 (" << rate32 / 1e6
-                << "M/s) below 2x the batch=1 baseline (" << rate1 / 1e6
-                << "M/s)\n";
-      batch_gate_fail = true;
+    // amortizing. Judged on the median per-trial ratio.
+    std::vector<double> ratios;
+    auto json_pairs = klb::bench::Json::array();
+    for (int trial = 0; trial < kBatchTrials; ++trial) {
+      const double r1 = rates[0][trial], r32 = rates[2][trial];
+      ratios.push_back(r32 / std::max(1.0, r1));
+      json_pairs.push(klb::bench::Json::object()
+                          .set("batch1_picks_per_sec", r1)
+                          .set("batch32_picks_per_sec", r32)
+                          .set("ratio", ratios.back()));
     }
+    const double median_ratio = median(ratios);
     batch_table.print();
     std::cout << "\nOne epoch pin, one generation load, one lock per "
                  "flow-shard run, and one fabric event per destination "
                  "group per burst; batch=1 is the scalar path through the "
                  "same entry point.\n";
-    if (short_mode && !batch_gate_fail) {
-      std::cout << "batch gate passed (batch=32 >= 2x batch=1)\n";
+    std::cout << "batch=32/batch=1 per trial:";
+    for (const auto r : ratios) std::cout << " " << klb::testbed::fmt(r, 2);
+    std::cout << " (median " << klb::testbed::fmt(median_ratio, 2) << "x)\n";
+    if (short_mode) {
+      if (median_ratio < 2.0) {
+        std::cerr << "FAIL: median batch=32/batch=1 ratio "
+                  << klb::testbed::fmt(median_ratio, 2)
+                  << "x over " << kBatchTrials << " trials is below 2x\n";
+        batch_gate_fail = true;
+      } else {
+        std::cout << "batch gate passed (median batch=32 >= 2x batch=1)\n";
+      }
     }
-    json.set("batch", std::move(json_batch));
+    json.set("batch", std::move(json_batch))
+        .set("batch_gate", klb::bench::Json::object()
+                               .set("pairs", std::move(json_pairs))
+                               .set("median_ratio", median_ratio)
+                               .set("threshold", 2.0));
   }
 
   // --- churn phase: generation publication racing the packet path ---------

@@ -50,8 +50,7 @@ Mux::Mux(net::Network& net, net::IpAddr vip, std::unique_ptr<Policy> policy,
   epochs_.debug_register_control(&control_mutex_);
   epochs_.debug_track_published();
   // Publish the initial empty-pool generation: the packet path may assume
-  // current_ is never null. Its sequence (1) matches the FlowTable's
-  // initial pick epoch.
+  // current_ is never null.
   util::MutexLock lk(control_mutex_);
   publish_locked({}, /*program_version=*/0, std::move(policy));
   if (attached_) net_.attach(vip_, this);
@@ -95,7 +94,7 @@ void Mux::publish_locked(std::vector<GenBackend> backends,
                                               std::move(backends),
                                               std::move(policy));
 
-  if (diff_ && gen->policy_caches_picks()) {
+  if (diff_ && gen->policy_tuple_deterministic()) {
     // Hybrid dataplane: diff the freshly built table against the history
     // and attach the exception filter — still before publication, so the
     // packet path sees generation + filter as one atomic unit. A policy
@@ -106,11 +105,6 @@ void Mux::publish_locked(std::vector<GenBackend> backends,
       gen->set_exception_filter(diff_->on_publish(*table, seq));
   }
 
-  // Re-key the flow cache to the new generation BEFORE swinging the
-  // pointer: cached picks from older generations stop hitting, and a
-  // straggler still reading a retired generation inserts entries stamped
-  // with that generation's (old) sequence — born invalid, never served.
-  flows_.set_pick_epoch(seq);
   epochs_.debug_mark_published(gen.get());
   current_.store(gen.get(), std::memory_order_release);
   auto old = std::move(current_owner_);
@@ -693,7 +687,7 @@ void Mux::handle_request_chunk(const net::Message* const* msgs,
   // config swap has.
   auto ref = read_gen();
   const PoolGeneration& gen = *ref.gen;
-  if (n > 1 && !gen.policy_caches_picks()) {
+  if (n > 1 && !gen.policy_tuple_deterministic()) {
     // Non-tuple-deterministic policies (rr/wrr/lc family) mutate pick
     // state per packet: process the burst per packet under the shared pin
     // so the pick sequence is exactly the scalar path's.
@@ -789,20 +783,18 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   for (std::size_t j = 0; j < need_lookup; ++j) {
     Lane& ln = lanes[lookup_lane[j]];
     const net::Message& m = *msgs[lookup_lane[j]];
-    FlowHit hit = lookups[j].hit;
-    if (hit.kind == FlowHit::Kind::kAffinity) {
+    if (const auto pinned = lookups[j].hit) {
       // Connection affinity: pinned regardless of weights — unless the
       // backend died since (defensive; removal drops its entries eagerly).
       // Draining backends keep serving their pinned flows: that is the
       // whole point of the graceful scale-in.
-      if (const auto idx = gen.index_of(hit.backend_id)) {
+      if (const auto idx = gen.index_of(*pinned)) {
         ln.dip = *idx;
         ln.st = kForwardOnly;
         continue;
       }
       if (flows_.erase(m.tuple).has_value() && slot_pins_)
         slot_pins_->dec(ln.slot);
-      hit = FlowHit{};
     }
     if (ln.exception) {
       // Flagged slot, no pin for this tuple yet. Openers PIN to the
@@ -861,21 +853,6 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
         }
       }
     }
-    // A fresh cached pick short-circuits the policy for tuple-deterministic
-    // policies (hash, maglev) — the cache is keyed to the generation
-    // sequence, so a hit can only name a choice made against the current
-    // generation; the index checks below are defensive.
-    if (ln.dip == kNoBackend && hit.kind == FlowHit::Kind::kCachedPick &&
-        gen.policy_caches_picks()) {
-      if (const auto idx = gen.index_of(hit.backend_id)) {
-        const auto& b = gen.backends()[*idx];
-        if (b.enabled && !b.draining &&
-            (b.weight_units > 0 || !gen.policy_weighted())) {
-          ln.dip = *idx;
-          ln.backend_id = hit.backend_id;
-        }
-      }
-    }
     if (ln.dip != kNoBackend) {
       ln.st = kNeedPin;
     } else {
@@ -889,8 +866,7 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   // blocking lock, the pick itself is a virtual call (policies may rebuild
   // caches), and the LC-family pin inserts a map node. All of it is the
   // documented "mux.pick" escape; tuple-deterministic steady state never
-  // enters (affinity hits, cached picks, and stateless routes resolve in
-  // stages A-C).
+  // enters (affinity hits and stateless routes resolve in stages A-C).
   if (any_pick) {
     KLB_EFFECT_ESCAPE("mux.pick", {
       util::MutexLock lk(pick_mutex_);
@@ -910,9 +886,8 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
           // (pick mutex -> shard mutex is the legal order), so the next
           // pick already sees this connection — releasing first would let
           // concurrent opens herd onto the same least-loaded backend.
-          std::tie(ln.owner, ln.fresh) = flows_.try_insert(
-              m.tuple, ln.backend_id, now, gen.policy_caches_picks(),
-              gen.seq());
+          std::tie(ln.owner, ln.fresh) =
+              flows_.try_insert(m.tuple, ln.backend_id, now);
           if (ln.fresh) {
             auto& c = *gen.backends()[ln.dip].counters;
             c.connections.fetch_add(1, std::memory_order_relaxed);
@@ -934,9 +909,8 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
       // One map-node allocation per new *connection* under the shard lock
       // — the documented "flow.pin_insert" hole, not a per-packet cost.
       KLB_EFFECT_ESCAPE("flow.pin_insert", {
-        std::tie(ln.owner, ln.fresh) = flows_.try_insert(
-            msgs[i]->tuple, ln.backend_id, now, gen.policy_caches_picks(),
-            gen.seq());
+        std::tie(ln.owner, ln.fresh) =
+            flows_.try_insert(msgs[i]->tuple, ln.backend_id, now);
       });
       if (ln.fresh) {
         auto& c = *gen.backends()[ln.dip].counters;

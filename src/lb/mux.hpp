@@ -1,12 +1,11 @@
 // The MUX: the L4 LB dataplane instance.
 //
 // A Mux owns a VIP, keeps the connection-affinity state (5-tuple -> stable
-// backend id) in a sharded FlowTable with a per-shard flow cache (see
-// lb/flow_table.hpp), applies the configured policy to new connections,
-// and forwards requests to DIPs with the original tuple preserved (encap +
-// direct server return, per Fig. 1). FINs flow through the MUX so it can
-// maintain per-DIP active connection counts for (W)LC — the proxy-visible
-// signal HAProxy uses.
+// backend id) in a sharded FlowTable (see lb/flow_table.hpp), applies the
+// configured policy to new connections, and forwards requests to DIPs with
+// the original tuple preserved (encap + direct server return, per Fig. 1).
+// FINs flow through the MUX so it can maintain per-DIP active connection
+// counts for (W)LC — the proxy-visible signal HAProxy uses.
 //
 // Pool state is published as immutable generations (the RCU-style
 // scheme): every control-plane mutation — a committed PoolProgram, an
@@ -27,7 +26,7 @@
 //   * control_mutex_ — all control-plane mutations against each other.
 //   * pick_mutex_ — policy picks (stateful policies + the shared RNG) and
 //     the per-generation views' active_conns patching. Affinity hits and
-//     flow-cache hits bypass it. The control plane takes it only for the
+//     stateless routes bypass it. The control plane takes it only for the
 //     instants of cloning the old policy into a new generation.
 //   * per-shard FlowTable mutexes — affinity state, per shard.
 // Lock order: control_mutex_ -> pick_mutex_ -> shard mutex. The packet
@@ -40,10 +39,7 @@
 // — atomically, and discards any transaction older than the last one
 // committed. Backends carry a stable id from registration to removal, so
 // the affinity state survives pool churn — indices shift when a backend is
-// removed, ids never do. Every publication re-keys the flow cache to the
-// new generation's sequence number: a cached pick can never resurrect a
-// removed, failed, or reweighted DIP, and a pick computed against an
-// already-retired generation is cached dead-on-arrival.
+// removed, ids never do.
 //
 // Graceful scale-in is first-class: a backend programmed kDraining is
 // parked (no new connections) while its pinned flows keep being served.
@@ -99,8 +95,8 @@ class Mux : public net::Node, public PoolProgrammer {
   /// With attach_to_vip = false the Mux does not bind the VIP on the
   /// fabric — a MuxPool owns the VIP and steers messages to its member
   /// muxes directly (ECMP sharding). `flow_cfg` sizes the sharded flow
-  /// table (a 1-shard, 0-cache config reproduces the old monolithic map —
-  /// the bench baseline). `consistency` opts into the stateless fast path
+  /// table (a 1-shard config reproduces the old monolithic map — the bench
+  /// baseline). `consistency` opts into the stateless fast path
   /// (lb/consistency.hpp); it engages only when the *initial* policy
   /// carries a maglev table (so the slot-pin counters can be sized once,
   /// before any packet), and is ignored with a warning otherwise.
@@ -215,7 +211,7 @@ class Mux : public net::Node, public PoolProgrammer {
   /// straggling reader re-pinned mid-removal — tests assert it after churn.
   std::size_t dangling_affinity_count() const;
 
-  /// The sharded affinity table (shard/cache introspection for tests and
+  /// The sharded affinity table (shard introspection for tests and
   /// benches).
   const FlowTable& flow_table() const { return flows_; }
 
@@ -297,8 +293,7 @@ class Mux : public net::Node, public PoolProgrammer {
   std::size_t pending_retired_generations() const {
     return epochs_.pending_retired();
   }
-  /// Sequence number of the current generation (== the flow cache's pick
-  /// epoch).
+  /// Sequence number of the current generation.
   std::uint64_t generation_seq() const {
     return gen_seq_.load(std::memory_order_relaxed);
   }
@@ -400,9 +395,8 @@ class Mux : public net::Node, public PoolProgrammer {
 
   /// Build and publish the next generation from `backends`, cloning the
   /// current policy unless `policy_override` supplies one (the
-  /// constructor's initial policy). Re-keys the flow cache, swings the
-  /// pointer, retires the predecessor. Caller holds control_mutex_ (and
-  /// NOT pick_mutex_).
+  /// constructor's initial policy). Swings the pointer, retires the
+  /// predecessor. Caller holds control_mutex_ (and NOT pick_mutex_).
   void publish_locked(std::vector<GenBackend> backends,
                       std::uint64_t program_version,
                       std::unique_ptr<Policy> policy_override = nullptr)

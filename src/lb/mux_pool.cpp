@@ -222,7 +222,6 @@ FlowTableMemory MuxPool::flow_memory() const {
     const auto mem = m->flow_table().memory();
     out.entries += mem.entries;
     out.buckets += mem.buckets;
-    out.cache_slots += mem.cache_slots;
     out.approx_bytes += mem.approx_bytes;
   }
   return out;

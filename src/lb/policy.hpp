@@ -55,13 +55,13 @@ class Policy {
   virtual bool weighted() const { return false; }
   /// true when picks read the MUX-tracked connection counts (LC family):
   /// the MUX keeps the policy views' active_conns fresh only then, and
-  /// never serves such a policy's picks from the flow cache (a cached
-  /// choice would bypass the live-load balancing).
+  /// pins each new connection inside the pick critical section so the next
+  /// pick already sees it.
   virtual bool uses_connection_counts() const { return false; }
   /// true when the pick is a pure function of the 5-tuple for a fixed pool
-  /// (hash, maglev): only then may the MUX serve repeat tuples from its
-  /// flow cache — for rotation/random policies a cached pick would skew
-  /// the distribution the policy exists to produce.
+  /// (hash, maglev): only then may the MUX attach the stateless exception
+  /// filter and pick a whole burst at once — rotation/random policies
+  /// consume pick state per packet and are picked one packet at a time.
   virtual bool pick_is_tuple_deterministic() const { return false; }
   /// Choose a backend index for a new connection, or kNoBackend.
   virtual std::size_t pick(const net::FiveTuple& tuple,

@@ -86,12 +86,12 @@ struct GenBackend {
 
 class PoolGeneration {
  public:
-  /// `seq` is the Mux's generation sequence number (doubles as the flow
-  /// cache's pick epoch); `program_version` the last committed
-  /// transaction. The policy instance becomes generation-owned: it must
-  /// already be invalidated, and is prepared here for exactly this backend
-  /// list (the eager per-pool build — maglev's table fill — on the
-  /// control thread, before any reader can see the generation).
+  /// `seq` is the Mux's generation sequence number; `program_version` the
+  /// last committed transaction. The policy instance becomes
+  /// generation-owned: it must already be invalidated, and is prepared here
+  /// for exactly this backend list (the eager per-pool build — maglev's
+  /// table fill — on the control thread, before any reader can see the
+  /// generation).
   PoolGeneration(std::uint64_t seq, std::uint64_t program_version,
                  std::vector<GenBackend> backends,
                  std::unique_ptr<Policy> policy)
@@ -107,8 +107,7 @@ class PoolGeneration {
     }
     policy_->prepare(views_);
     policy_uses_conns_ = policy_->uses_connection_counts();
-    policy_caches_picks_ = policy_->pick_is_tuple_deterministic();
-    policy_weighted_ = policy_->weighted();
+    policy_tuple_deterministic_ = policy_->pick_is_tuple_deterministic();
     // Read after prepare(): a shared-table policy picks its snapshot there.
     // Null for policies with no maglev table.
     table_ = policy_->maglev_table();
@@ -178,10 +177,9 @@ class PoolGeneration {
   bool policy_uses_conns() const KLB_NONBLOCKING {
     return policy_uses_conns_;
   }
-  bool policy_caches_picks() const KLB_NONBLOCKING {
-    return policy_caches_picks_;
+  bool policy_tuple_deterministic() const KLB_NONBLOCKING {
+    return policy_tuple_deterministic_;
   }
-  bool policy_weighted() const KLB_NONBLOCKING { return policy_weighted_; }
 
   /// Recompute the structural checksum and compare with the one stamped
   /// at construction — false means a torn/corrupt generation (never
@@ -232,8 +230,7 @@ class PoolGeneration {
   mutable std::vector<BackendView> views_;  // active_conns patched under pick mutex
   std::unique_ptr<Policy> policy_;
   bool policy_uses_conns_ = false;
-  bool policy_caches_picks_ = false;
-  bool policy_weighted_ = false;
+  bool policy_tuple_deterministic_ = false;
   std::uint64_t checksum_ = 0;
 };
 

@@ -1,8 +1,7 @@
-// Sharded flow table + flow cache (ISSUE 5): shard distribution
-// uniformity, cache epoch invalidation (a cached pick must never resurrect
-// a tombstoned DIP), GC under concurrent insert, and the Mux-level
-// affinity invariants — cross-shard drain completion and the
-// flows_dropped_by_removal accounting — on top of the new table.
+// Sharded flow table: shard distribution uniformity, pin lifecycle, GC
+// under concurrent insert, and the Mux-level affinity invariants —
+// reconnects after a backend failure, cross-shard drain completion, and
+// the flows_dropped_by_removal accounting — on top of the table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,17 +32,17 @@ net::FiveTuple flow_tuple(std::uint64_t i) {
 }
 
 TEST(FlowTable, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FlowTable(FlowTableConfig{1, 0}).shard_count(), 1u);
-  EXPECT_EQ(FlowTable(FlowTableConfig{5, 0}).shard_count(), 8u);
-  EXPECT_EQ(FlowTable(FlowTableConfig{16, 0}).shard_count(), 16u);
-  EXPECT_EQ(FlowTable(FlowTableConfig{0, 0}).shard_count(), 1u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{1}).shard_count(), 1u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{5}).shard_count(), 8u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{16}).shard_count(), 16u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{0}).shard_count(), 1u);
 }
 
 TEST(FlowTable, ShardDistributionIsUniform) {
-  FlowTable table(FlowTableConfig{16, 0});
+  FlowTable table(FlowTableConfig{16});
   const std::size_t flows = 64'000;
   for (std::uint64_t i = 0; i < flows; ++i)
-    table.try_insert(flow_tuple(i), i % 7, util::SimTime::zero(), false);
+    table.try_insert(flow_tuple(i), i % 7, util::SimTime::zero());
   ASSERT_EQ(table.size(), flows);
   const double mean =
       static_cast<double>(flows) / static_cast<double>(table.shard_count());
@@ -57,57 +56,27 @@ TEST(FlowTable, ShardDistributionIsUniform) {
 TEST(FlowTable, PinLifecycleAndRaceSemantics) {
   FlowTable table;
   const auto t = flow_tuple(1);
-  EXPECT_EQ(table.lookup(t, 0_s).kind, FlowHit::Kind::kMiss);
+  EXPECT_EQ(table.lookup(t, 0_s), std::nullopt);
 
-  auto [owner, fresh] = table.try_insert(t, 42, 0_s, false);
+  auto [owner, fresh] = table.try_insert(t, 42, 0_s);
   EXPECT_TRUE(fresh);
   EXPECT_EQ(owner, 42u);
   // A concurrent same-tuple packet that lost the race keeps the winner.
-  auto [owner2, fresh2] = table.try_insert(t, 99, 1_s, false);
+  auto [owner2, fresh2] = table.try_insert(t, 99, 1_s);
   EXPECT_FALSE(fresh2);
   EXPECT_EQ(owner2, 42u);
 
-  const auto hit = table.lookup(t, 2_s);
-  EXPECT_EQ(hit.kind, FlowHit::Kind::kAffinity);
-  EXPECT_EQ(hit.backend_id, 42u);
+  EXPECT_EQ(table.lookup(t, 2_s), std::optional<std::uint64_t>(42));
 
   EXPECT_EQ(table.erase(t), std::optional<std::uint64_t>(42));
   EXPECT_EQ(table.erase(t), std::nullopt);
   EXPECT_EQ(table.size(), 0u);
 }
 
-TEST(FlowTable, CachedPickServedUntilEpochBump) {
-  FlowTable table(FlowTableConfig{4, 64});
-  const auto t = flow_tuple(7);
-  table.try_insert(t, 5, 0_s, /*cache_pick=*/true);
-  table.erase(t);
-
-  // The pin is gone but the cached pick survives the FIN...
-  const auto hit = table.lookup(t, 1_s);
-  EXPECT_EQ(hit.kind, FlowHit::Kind::kCachedPick);
-  EXPECT_EQ(hit.backend_id, 5u);
-  EXPECT_GE(table.stats().cache_hits, 1u);
-
-  // ...until any pool mutation bumps the epoch: the stale pick must never
-  // resurrect a backend the pool no longer serves.
-  table.invalidate_picks();
-  EXPECT_EQ(table.lookup(t, 2_s).kind, FlowHit::Kind::kMiss);
-  EXPECT_EQ(table.stats().pick_invalidations, 1u);
-}
-
-TEST(FlowTable, CacheDisabledNeverServesPicks) {
-  FlowTable table(FlowTableConfig{4, 0});
-  const auto t = flow_tuple(3);
-  table.try_insert(t, 5, 0_s, /*cache_pick=*/true);
-  table.erase(t);
-  EXPECT_EQ(table.lookup(t, 1_s).kind, FlowHit::Kind::kMiss);
-  EXPECT_EQ(table.stats().cache_hits, 0u);
-}
-
 TEST(FlowTable, EraseBackendDropsEveryPinnedFlow) {
-  FlowTable table(FlowTableConfig{8, 0});
+  FlowTable table(FlowTableConfig{8});
   for (std::uint64_t i = 0; i < 300; ++i)
-    table.try_insert(flow_tuple(i), i % 3, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 3, 0_s);
   EXPECT_EQ(table.erase_backend(1), 100u);
   EXPECT_EQ(table.size(), 200u);
   table.for_each([](const net::FiveTuple&, std::uint64_t id, util::SimTime) {
@@ -116,10 +85,10 @@ TEST(FlowTable, EraseBackendDropsEveryPinnedFlow) {
 }
 
 TEST(FlowTable, GcReclaimsDeadAndIdleShardLocally) {
-  FlowTable table(FlowTableConfig{8, 0});
+  FlowTable table(FlowTableConfig{8});
   // Backend 1 is dead; backend 2's flows are idle; backend 3's are fresh.
   for (std::uint64_t i = 0; i < 60; ++i)
-    table.try_insert(flow_tuple(i), 1 + i % 3, i % 3 == 1 ? 1_s : 90_s, false);
+    table.try_insert(flow_tuple(i), 1 + i % 3, i % 3 == 1 ? 1_s : 90_s);
   std::size_t dead = 0, idled = 0;
   const auto reclaimed = table.gc(
       100_s, 60_s, [](std::uint64_t id) { return id != 1; },
@@ -142,9 +111,9 @@ TEST(FlowTable, GcReclaimsDeadAndIdleShardLocally) {
 // The reclaim callback runs after the shard lock drops: reentering the
 // table from it must not deadlock (the Mux takes its pick mutex there).
 TEST(FlowTable, GcReclaimCallbackMayReenterTable) {
-  FlowTable table(FlowTableConfig{4, 0});
+  FlowTable table(FlowTableConfig{4});
   for (std::uint64_t i = 0; i < 40; ++i)
-    table.try_insert(flow_tuple(i), i % 2, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 2, 0_s);
   std::size_t seen = 0;
   table.gc(
       100_s, 0_s, [](std::uint64_t id) { return id != 0; },
@@ -156,24 +125,35 @@ TEST(FlowTable, GcReclaimCallbackMayReenterTable) {
 }
 
 TEST(FlowTable, TryFindIsReadOnly) {
-  FlowTable table(FlowTableConfig{4, 64});
+  FlowTable table(FlowTableConfig{4});
   const auto t = flow_tuple(11);
   EXPECT_EQ(table.try_find(t), std::nullopt);
-  table.try_insert(t, 7, 0_s, /*cache_pick=*/true);
-  EXPECT_EQ(table.try_find(t), std::optional<std::uint64_t>(7));
-  // No touch, no cache probe, no counter traffic.
+  table.try_insert(t, 7, 0_s);
+  ASSERT_EQ(table.lookup(t, 5_s), std::optional<std::uint64_t>(7));
+  const auto last_seen = [&table] {
+    util::SimTime seen = util::SimTime::zero();
+    table.for_each([&](const net::FiveTuple&, std::uint64_t, util::SimTime at) {
+      seen = at;
+    });
+    return seen;
+  };
+  ASSERT_EQ(last_seen(), 5_s);  // lookup() touches
+  // try_find() neither touches the flow nor moves a counter.
   const auto before = table.stats();
-  (void)table.try_find(t);
-  (void)table.try_find(flow_tuple(12));
+  EXPECT_EQ(table.try_find(t), std::optional<std::uint64_t>(7));
+  EXPECT_EQ(table.try_find(flow_tuple(12)), std::nullopt);
   const auto after = table.stats();
-  EXPECT_EQ(after.cache_hits, before.cache_hits);
-  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(last_seen(), 5_s);
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.erases, before.erases);
+  EXPECT_EQ(after.entries, 1u);
 }
 
 TEST(FlowTable, ExpectedFlowsHintPreReservesShards) {
   // Hinted: the buckets for the expected population exist up front, and
   // filling to that scale never rehashes (capacity is stable).
-  FlowTableConfig hinted{8, 0};
+  FlowTableConfig hinted;
+  hinted.shard_count = 8;
   hinted.expected_flows = 64'000;
   FlowTable table(hinted);
   std::vector<std::size_t> buckets_at_start(table.shard_count());
@@ -183,23 +163,23 @@ TEST(FlowTable, ExpectedFlowsHintPreReservesShards) {
         << "shard " << k << " not pre-reserved";
   }
   for (std::uint64_t i = 0; i < 64'000; ++i)
-    table.try_insert(flow_tuple(i), i % 3, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 3, 0_s);
   for (std::size_t k = 0; k < table.shard_count(); ++k)
     EXPECT_EQ(table.shard_buckets(k), buckets_at_start[k])
         << "shard " << k << " rehashed despite the hint";
 
   // Unhinted default: starts near-empty (the hint is opt-in).
-  FlowTable bare(FlowTableConfig{8, 0});
+  FlowTable bare(FlowTableConfig{8});
   EXPECT_LT(bare.shard_buckets(0), buckets_at_start[0]);
 }
 
 TEST(FlowTable, MemoryTracksEntriesAndBuckets) {
-  FlowTable table(FlowTableConfig{4, 64});
+  FlowTable table(FlowTableConfig{4});
   const auto empty = table.memory();
   EXPECT_EQ(empty.entries, 0u);
-  EXPECT_GT(empty.approx_bytes, 0u);  // shard structs + cache arrays
+  EXPECT_GT(empty.approx_bytes, 0u);  // the shard structs
   for (std::uint64_t i = 0; i < 10'000; ++i)
-    table.try_insert(flow_tuple(i), 1, 0_s, false);
+    table.try_insert(flow_tuple(i), 1, 0_s);
   const auto full = table.memory();
   EXPECT_EQ(full.entries, 10'000u);
   EXPECT_GT(full.buckets, 0u);
@@ -210,12 +190,13 @@ TEST(FlowTable, MemoryTracksEntriesAndBuckets) {
 }
 
 TEST(FlowTable, BudgetedGcSweepsIncrementally) {
-  FlowTableConfig cfg{1, 0};
+  FlowTableConfig cfg;
+  cfg.shard_count = 1;
   cfg.gc_scan_budget = 64;
   FlowTable table(cfg);
   constexpr std::uint64_t kFlows = 2'000;
   for (std::uint64_t i = 0; i < kFlows; ++i)
-    table.try_insert(flow_tuple(i), i % 2, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 2, 0_s);
 
   // One budgeted call examines ~the budget, not the whole shard (bucket
   // granularity makes it approximate), and reclaims only what it saw.
@@ -236,14 +217,14 @@ TEST(FlowTable, BudgetedGcSweepsIncrementally) {
   EXPECT_EQ(table.size(), kFlows / 2);
   // An explicit full sweep overrides the budget in one call.
   for (std::uint64_t i = 0; i < kFlows; ++i)
-    table.try_insert(flow_tuple(100'000 + i), 1, 0_s, false);
+    table.try_insert(flow_tuple(100'000 + i), 1, 0_s);
   EXPECT_EQ(table.gc_shard(0, 0_s, util::SimTime::zero(), alive, nullptr,
                            FlowTable::kScanAll),
             kFlows);
 }
 
 TEST(FlowTable, GcUnderConcurrentInsert) {
-  FlowTable table(FlowTableConfig{16, 64});
+  FlowTable table(FlowTableConfig{16});
   constexpr std::uint64_t kPerThread = 20'000;
   constexpr std::uint64_t kThreads = 4;
   std::atomic<std::uint64_t> reclaimed{0};
@@ -263,7 +244,7 @@ TEST(FlowTable, GcUnderConcurrentInsert) {
     writers.emplace_back([&, w] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         const auto n = w * kPerThread + i;
-        table.try_insert(flow_tuple(n), n % 4, 0_s, n % 3 == 0);
+        table.try_insert(flow_tuple(n), n % 4, 0_s);
       }
     });
   }
@@ -322,7 +303,7 @@ struct MuxFlowFixture {
 TEST(MuxFlowTable, CrossShardDrainCompletion) {
   MuxFlowFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"), /*attach_to_vip=*/true,
-          FlowTableConfig{8, 64});
+          FlowTableConfig{8});
   PoolProgram v1(1);
   v1.add(f.a, 5000).add(f.b, 5000);
   mux.apply_program(v1);
@@ -360,13 +341,14 @@ TEST(MuxFlowTable, CrossShardDrainCompletion) {
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
-// The flow cache serves repeat tuples for the maglev policy — but a pool
-// mutation (fail_backend here) bumps the epoch, so a cached pick can never
-// steer a reconnecting client into a tombstoned DIP.
-TEST(MuxFlowTable, CachedPickNeverResurrectsFailedBackend) {
+// Connection affinity carries no pick state beyond the pin: a maglev tuple
+// that reconnects after its FIN is picked afresh against the current pool
+// — the same backend while the pool is unchanged, the survivor once its
+// backend has failed.
+TEST(MuxFlowTable, ReconnectFollowsCurrentPoolAfterFailure) {
   MuxFlowFixture f;
   Mux mux(f.net, f.vip, make_policy("maglev"), /*attach_to_vip=*/true,
-          FlowTableConfig{8, 256});
+          FlowTableConfig{8});
   PoolProgram v1(1);
   v1.add(f.a, 5000).add(f.b, 5000);
   mux.apply_program(v1);
@@ -384,30 +366,30 @@ TEST(MuxFlowTable, CachedPickNeverResurrectsFailedBackend) {
   }
   ASSERT_NE(port, 0) << "no tuple hashed to backend a";
 
-  // A reconnect of the same tuple is served from the flow cache (no pin
-  // existed any more), and lands on the same backend.
-  const auto hits_before = mux.flow_table().stats().cache_hits;
+  // A reconnect of the same tuple (no pin any more) lands on a again.
   const auto conns_a = mux.new_connections(0);
+  const auto conns_b = mux.new_connections(1);
   mux.on_message(f.request(port));
-  EXPECT_GT(mux.flow_table().stats().cache_hits, hits_before);
   EXPECT_EQ(mux.new_connections(0), conns_a + 1);
+  EXPECT_EQ(mux.new_connections(1), conns_b);
   mux.on_message(f.fin(port));
 
-  // Kill a. The reconnect must NOT follow the cached pick into the corpse.
+  // Kill a: the reconnect lands on the survivor.
   ASSERT_TRUE(mux.fail_backend(f.a));
   ASSERT_EQ(mux.backend_count(), 1u);
-  const auto conns_b = mux.new_connections(0);  // b is index 0 now
+  ASSERT_EQ(mux.backend_addr(0), f.b);
+  const auto conns_survivor = mux.new_connections(0);  // b is index 0 now
   mux.on_message(f.request(port));
-  EXPECT_EQ(mux.new_connections(0), conns_b + 1);
+  EXPECT_EQ(mux.new_connections(0), conns_survivor + 1);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
   EXPECT_EQ(mux.flows_reset_by_failure(), 0u);  // a held no pins when it died
 }
 
 // Abrupt graceful-path removal (transactional kRemoved / omission) drops
-// pinned flows; before ISSUE 5 they were counted nowhere.
+// pinned flows, and every dropped flow is counted.
 TEST(MuxFlowTable, RemovalDropsAreCounted) {
   MuxFlowFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"), true, FlowTableConfig{4, 0});
+  Mux mux(f.net, f.vip, make_policy("wrr"), true, FlowTableConfig{4});
   PoolProgram v1(1);
   v1.add(f.a, 5000).add(f.b, 5000);
   mux.apply_program(v1);
