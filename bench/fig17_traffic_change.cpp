@@ -32,7 +32,7 @@ int main() {
   std::cout << "traffic rescales: " << bed.controller()->traffic_rescales()
             << ", capacity rescales: " << bed.controller()->capacity_rescales()
             << ", ILP time: " << bed.controller()->last_ilp_elapsed().count()
-            << " ms\n";
+            << " us\n";
 
   testbed::Table table({"group", "weight before", "weight after", "change"});
   struct Group {

@@ -139,7 +139,7 @@ class Controller {
   std::uint64_t traffic_rescales() const { return traffic_rescales_; }
   std::uint64_t capacity_rescales() const { return capacity_rescales_; }
   std::uint64_t failures_detected() const { return failures_; }
-  std::chrono::milliseconds last_ilp_elapsed() const { return last_ilp_ms_; }
+  std::chrono::microseconds last_ilp_elapsed() const { return last_ilp_us_; }
 
   /// Force an ILP recomputation on the next round (tests/benches).
   void mark_dirty() { ilp_dirty_ = true; }
@@ -223,7 +223,7 @@ class Controller {
   std::uint64_t traffic_rescales_ = 0;
   std::uint64_t capacity_rescales_ = 0;
   std::uint64_t failures_ = 0;
-  std::chrono::milliseconds last_ilp_ms_{0};
+  std::chrono::microseconds last_ilp_us_{0};
 };
 
 }  // namespace klb::core

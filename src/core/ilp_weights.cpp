@@ -172,7 +172,7 @@ IlpWeightsResult IlpWeights::compute(
   out.nodes_explored = step1.nodes;
   out.timed_out = step1.timed_out;
   if (!step1.feasible) {
-    out.elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+    out.elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - start);
     return out;
   }
@@ -209,7 +209,7 @@ IlpWeightsResult IlpWeights::compute(
   for (std::size_t d = 0; d < n; ++d)
     out.weights[d] = util::units_to_weight(units[d]) * total_weight;
 
-  out.elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+  out.elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - start);
   return out;
 }

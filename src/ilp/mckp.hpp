@@ -34,8 +34,14 @@ struct MckpResult {
   std::vector<int> choice;
 };
 
-/// Exact DP: O(groups * total * max_items_per_group) time,
-/// O(groups * total) reconstruction memory (16-bit choice ids).
+/// Exact DP over windowed rows: after group g only the sums in
+/// W_g = [max(prefix_min_g, lo - suffix_max_{g+1}), min(prefix_max_g, total)]
+/// get a cell (lo = total - slack; prefix/suffix sums of each group's
+/// smallest/largest valid weight), since no other sum can reach the target
+/// window. O(sum_g |W_g| * items_g) time, sum_g |W_g| reconstruction memory
+/// (16-bit choice ids) -- at most the full O(groups * total) grid. Results
+/// are identical to the full grid's: same cells, same item order, same
+/// strict tie-break.
 MckpResult solve_mckp(const std::vector<MckpGroup>& groups,
                       std::int64_t total_units, std::int64_t slack_units);
 
